@@ -14,16 +14,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from .ecd import (
-    DEFAULT_ROUNDS,
-    ecd,
-    ecd_from_distances,
-    ecd_subsampled,
-    ecd_subsampled_from_distances,
-    subsample_round_indices,
-)
+from .ecd import DEFAULT_ROUNDS, _distance_pool, _feature_pool, _score, _subsample
 from .errors import InputError, InvalidSpec, NumericError, SizeMismatch
 from .experiments import (
     DEFAULT_GRID_DIM,
@@ -34,17 +25,10 @@ from .experiments import (
     distribution_grid,
     variance_sweep,
 )
-from .metricspace import (
-    DistanceMatrix,
-    FeatureSet,
-    PooledLabels,
-    load_distance_csv,
-    load_feature_csv,
-    pairwise_distances,
-)
+from .metricspace import DistanceMatrix, PooledLabels, load_distance_csv, load_feature_csv
 from .plotting import plot_table
 from .setmeasures import measures_from_cross, measures_from_features
-from .spanning import DEFAULT_K, kmst
+from .spanning import DEFAULT_K, SpanningGraph
 
 MAX_SEED = 2**64 - 1
 
@@ -91,8 +75,7 @@ def _write_json(payload: dict, out) -> None:
         sys.stdout.write(text)
 
 
-def _dump_graph_csv(d: DistanceMatrix, k: int, path) -> None:
-    g = kmst(d, k)
+def _dump_graph_csv(g: SpanningGraph, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "i", "j", "weight"])
@@ -102,51 +85,27 @@ def _dump_graph_csv(d: DistanceMatrix, k: int, path) -> None:
 
 def cmd_ecd(args) -> int:
     seed = _checked_seed(args.seed)
-    metric = args.metric.replace("-", "_")
-    mode = _input_mode(args)
-    if mode == "features":
+    if _input_mode(args) == "features":
         a = load_feature_csv(args.set_a)
         b = load_feature_csv(args.set_b)
-        subsampling = args.rounds is not None or a.n_points > b.n_points
-        if subsampling:
-            rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
-            if seed is None:
-                raise InvalidSpec("subsampling draws random subsets; provide --seed")
-            rep = ecd_subsampled(a, b, k=args.k, rounds=rounds, seed=seed, metric=metric)
-        else:
-            rep = ecd(a, b, k=args.k, metric=metric)
-            if seed is not None:
-                rep = dataclasses.replace(rep, seed=seed)
-        if args.dump_graph:
-            if subsampling:
-                idx = subsample_round_indices(seed, 0, a.n_points, b.n_points)
-                d0 = pairwise_distances(FeatureSet(a.points[idx]), b, metric)
-            else:
-                d0 = pairwise_distances(a, b, metric)
-            _dump_graph_csv(d0, args.k, args.dump_graph)
+        n, m = a.n_points, b.n_points
+        pooled = _feature_pool(a, b, args.metric.replace("-", "_"))
     else:
         d = load_distance_csv(args.distances)
         labels = _split_labels(d, args.split)
-        subsampling = args.rounds is not None or labels.n > labels.m
-        if subsampling:
-            rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
-            if seed is None:
-                raise InvalidSpec("subsampling draws random subsets; provide --seed")
-            rep = ecd_subsampled_from_distances(d, labels, k=args.k, rounds=rounds, seed=seed)
-        else:
-            rep = ecd_from_distances(d, labels, k=args.k)
-            if seed is not None:
-                rep = dataclasses.replace(rep, seed=seed)
-        if args.dump_graph:
-            if subsampling:
-                idx = np.concatenate([
-                    subsample_round_indices(seed, 0, labels.n, labels.m),
-                    np.arange(labels.n, labels.n_total),
-                ])
-                d0 = DistanceMatrix(d.values[np.ix_(idx, idx)])
-            else:
-                d0 = d
-            _dump_graph_csv(d0, args.k, args.dump_graph)
+        n, m = labels.n, labels.m
+        pooled = _distance_pool(d, labels)
+    if args.rounds is not None or n > m:
+        rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
+        if seed is None:
+            raise InvalidSpec("subsampling draws random subsets; provide --seed")
+        rep, g = _subsample(pooled, n, m, args.k, rounds, seed)
+    else:
+        rep, g = _score(pooled(None), PooledLabels(n=n, m=m), args.k)
+        if seed is not None:
+            rep = dataclasses.replace(rep, seed=seed)
+    if args.dump_graph:
+        _dump_graph_csv(g, args.dump_graph)
     _write_json(rep.to_json_dict(), args.out)
     return 0
 

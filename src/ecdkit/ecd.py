@@ -24,7 +24,7 @@ on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,12 +125,17 @@ def edge_counts(g: SpanningGraph, labels: PooledLabels) -> EdgeCounts:
         raise SizeMismatch(
             f"label split covers {labels.n_total} nodes, graph has {g.n_nodes}"
         )
-    ei, ej = g.edge_index_arrays()
-    a_i = ei < labels.split_index
-    a_j = ej < labels.split_index
-    r1 = int(np.sum(a_i & a_j))
-    r2 = int(np.sum(~a_i & ~a_j))
+    in_first = np.arange(g.n_nodes) < labels.split_index
+    r1, r2 = _within_counts(*g.edge_index_arrays(), in_first)
     return EdgeCounts(r1=r1, r2=r2, r12=g.n_edges - r1 - r2)
+
+
+def _within_counts(ei: np.ndarray, ej: np.ndarray, in_first: np.ndarray) -> tuple:
+    """(R1, R2) of the edges (ei, ej): both endpoints in the first set, or
+    both outside it, where in_first is the per-node membership mask."""
+    a_i = in_first[ei]
+    a_j = in_first[ej]
+    return int(np.sum(a_i & a_j)), int(np.sum(~a_i & ~a_j))
 
 
 def null_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
@@ -177,22 +182,32 @@ def ecd_statistic(counts: EdgeCounts, moments: NullMoments) -> float:
     return value
 
 
-def ecd_from_distances(
-    d: DistanceMatrix, labels: PooledLabels, k: int = DEFAULT_K
-) -> EcdReport:
-    """Statistic from a pooled distance matrix whose first n rows are set one."""
+def _check_cover(d: DistanceMatrix, labels: PooledLabels) -> None:
     if labels.n_total != d.n_points:
         raise SizeMismatch(
             f"split sizes {labels.n}+{labels.m} do not cover the {d.n_points}-point matrix"
         )
+
+
+def _score(d: DistanceMatrix, labels: PooledLabels, k: int):
+    """(report, k-MST) for a pooled distance matrix whose first n rows are set one."""
+    _check_cover(d, labels)
     g = kmst(d, k)
     counts = edge_counts(g, labels)
     moments = null_moments(g, labels.n, labels.m)
     stat = ecd_statistic(counts, moments)
-    return EcdReport(
+    report = EcdReport(
         statistic=stat, counts=counts, moments=moments,
         k=int(k), n=labels.n, m=labels.m,
     )
+    return report, g
+
+
+def ecd_from_distances(
+    d: DistanceMatrix, labels: PooledLabels, k: int = DEFAULT_K
+) -> EcdReport:
+    """Statistic from a pooled distance matrix whose first n rows are set one."""
+    return _score(d, labels, k)[0]
 
 
 def ecd(
@@ -205,13 +220,6 @@ def ecd(
 
 
 # --- permutation oracles ----------------------------------------------------
-
-def _counts_vector(g: SpanningGraph, in_first: np.ndarray) -> tuple:
-    ei, ej = g.edge_index_arrays()
-    a_i = in_first[ei]
-    a_j = in_first[ej]
-    return int(np.sum(a_i & a_j)), int(np.sum(~a_i & ~a_j))
-
 
 def permutation_samples(
     g: SpanningGraph, n: int, m: int, trials: int, seed: int
@@ -232,10 +240,7 @@ def permutation_samples(
         perm = rng.permutation(n + m)
         in_first = np.zeros(n + m, dtype=bool)
         in_first[perm[:n]] = True
-        a_i = in_first[ei]
-        a_j = in_first[ej]
-        out[t, 0] = np.sum(a_i & a_j)
-        out[t, 1] = np.sum(~a_i & ~a_j)
+        out[t] = _within_counts(ei, ej, in_first)
     return out
 
 
@@ -265,11 +270,12 @@ def exhaustive_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
     big_n = n + m
     if g.n_nodes != big_n:
         raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {big_n}")
+    ei, ej = g.edge_index_arrays()
     rows = []
     for subset in itertools.combinations(range(big_n), n):
         in_first = np.zeros(big_n, dtype=bool)
         in_first[list(subset)] = True
-        rows.append(_counts_vector(g, in_first))
+        rows.append(_within_counts(ei, ej, in_first))
     samples = np.array(rows, dtype=np.float64)
     mean = samples.mean(axis=0)
     dev = samples - mean
@@ -294,6 +300,60 @@ def subsample_round_indices(seed: int, round_index: int, pool: int, take: int) -
     return idx
 
 
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise InvalidTrials(f"need at least 1 subsample round, got {rounds}")
+
+
+def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int):
+    """(report, round-0 k-MST) averaged over size-m subsets of the first set.
+
+    `pooled(idx)` returns the pooled distance matrix of first-set rows idx
+    followed by all m rows of the second set. Round r draws idx from a
+    generator seeded by (seed, r); the report keeps the first round's
+    counts and moments and the mean statistic across rounds.
+    """
+    _check_rounds(rounds)
+    if n_large < m:
+        raise GeneratedSetTooSmall(
+            f"first set has {n_large} points, cannot subsample to {m}"
+        )
+    total = 0.0
+    for r in range(rounds):
+        d = pooled(subsample_round_indices(seed, r, n_large, m))
+        # labels after the matrix: a dimension mismatch is reported first
+        rep, g = _score(d, PooledLabels(n=m, m=m), k)
+        if r == 0:
+            first, first_graph = rep, g
+        total += rep.statistic
+    report = replace(
+        first, statistic=total / rounds, seed=int(seed), subsample_rounds=int(rounds)
+    )
+    return report, first_graph
+
+
+def _feature_pool(a: FeatureSet, b: FeatureSet, metric: str):
+    """`pooled(idx)` over feature sets: rows idx of a (all of a when idx is
+    None) then all of b. Distances are computed per call, so an oversized
+    first set is never pooled whole."""
+    def pooled(idx=None):
+        return pairwise_distances(a if idx is None else FeatureSet(a.points[idx]), b, metric)
+    return pooled
+
+
+def _distance_pool(d: DistanceMatrix, labels: PooledLabels):
+    """`pooled(idx)` over a pooled matrix: first-set rows idx (all of them
+    when idx is None) then the labels.m second-set rows."""
+    b_rows = np.arange(labels.n, labels.n_total)
+
+    def pooled(idx=None):
+        if idx is None:
+            return d
+        keep = np.concatenate([idx, b_rows])
+        return DistanceMatrix(d.values[np.ix_(keep, keep)])
+    return pooled
+
+
 def ecd_subsampled(
     a_large: FeatureSet,
     b: FeatureSet,
@@ -309,25 +369,8 @@ def ecd_subsampled(
     the report keeps the first round's counts and moments and the mean
     statistic across rounds.
     """
-    if rounds < 1:
-        raise InvalidTrials(f"need at least 1 subsample round, got {rounds}")
-    if a_large.n_points < b.n_points:
-        raise GeneratedSetTooSmall(
-            f"first set has {a_large.n_points} points, cannot subsample to {b.n_points}"
-        )
-    total = 0.0
-    first: EcdReport | None = None
-    for r in range(rounds):
-        idx = subsample_round_indices(seed, r, a_large.n_points, b.n_points)
-        rep = ecd(FeatureSet(a_large.points[idx]), b, k, metric)
-        if first is None:
-            first = rep
-        total += rep.statistic
-    assert first is not None
-    return EcdReport(
-        statistic=total / rounds, counts=first.counts, moments=first.moments,
-        k=int(k), n=b.n_points, m=b.n_points, seed=int(seed), subsample_rounds=int(rounds),
-    )
+    pooled = _feature_pool(a_large, b, metric)
+    return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)[0]
 
 
 def ecd_subsampled_from_distances(
@@ -343,29 +386,7 @@ def ecd_subsampled_from_distances(
     random size-m subset of them together with all m rows of the second
     set and rescores the induced submatrix.
     """
-    if rounds < 1:
-        raise InvalidTrials(f"need at least 1 subsample round, got {rounds}")
-    if labels.n_total != d.n_points:
-        raise SizeMismatch(
-            f"split sizes {labels.n}+{labels.m} do not cover the {d.n_points}-point matrix"
-        )
-    if labels.n < labels.m:
-        raise GeneratedSetTooSmall(
-            f"first set has {labels.n} points, cannot subsample to {labels.m}"
-        )
-    b_rows = np.arange(labels.n, labels.n_total)
-    sub_labels = PooledLabels(n=labels.m, m=labels.m)
-    total = 0.0
-    first: EcdReport | None = None
-    for r in range(rounds):
-        idx = np.concatenate([subsample_round_indices(seed, r, labels.n, labels.m), b_rows])
-        sub = DistanceMatrix(d.values[np.ix_(idx, idx)])
-        rep = ecd_from_distances(sub, sub_labels, k)
-        if first is None:
-            first = rep
-        total += rep.statistic
-    assert first is not None
-    return EcdReport(
-        statistic=total / rounds, counts=first.counts, moments=first.moments,
-        k=int(k), n=labels.m, m=labels.m, seed=int(seed), subsample_rounds=int(rounds),
-    )
+    _check_rounds(rounds)  # a bad round count is reported before a bad split
+    _check_cover(d, labels)
+    pooled = _distance_pool(d, labels)
+    return _subsample(pooled, labels.n, labels.m, k, rounds, seed)[0]

@@ -135,7 +135,6 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
     name = _check_metric(metric)
     pooled = np.vstack([a.points, b.points])
     raw = cdist(pooled, pooled, metric=name)
-    n = pooled.shape[0]
     upper = np.triu(raw, k=1)
     return DistanceMatrix(upper + upper.T)
 
@@ -179,21 +178,19 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
 
 # --- file ingestion ---------------------------------------------------------
 
-def load_feature_csv(path) -> FeatureSet:
-    """Read a feature CSV: one point per row, comma-separated numerals.
+def _read_csv(path, header: bool) -> np.ndarray:
+    """Numeric rows of a comma-separated file; blank lines are skipped.
 
-    A single leading header row is auto-detected: if the first field of
-    the first row fails numeric parsing, that row is skipped.
+    With `header`, a first row whose first field fails numeric parsing
+    is skipped as a header.
     """
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = True
-        for lineno, rec in enumerate(reader, start=1):
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(f.strip() == "" for f in rec):
                 continue
-            if first:
-                first = False
+            if header:
+                header = False
                 try:
                     float(rec[0])
                 except ValueError:
@@ -207,24 +204,18 @@ def load_feature_csv(path) -> FeatureSet:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise SchemaError(f"{path}: rows have inconsistent column counts")
-    return FeatureSet(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
+
+
+def load_feature_csv(path) -> FeatureSet:
+    """Read a feature CSV: one point per row, comma-separated numerals.
+
+    A single leading header row is auto-detected: if the first field of
+    the first row fails numeric parsing, that row is skipped.
+    """
+    return FeatureSet(_read_csv(path, header=True))
 
 
 def load_distance_csv(path, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
     """Read an N x N distance matrix CSV (no header) and validate it."""
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or all(f.strip() == "" for f in rec):
-                continue
-            try:
-                rows.append([float(f) for f in rec])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: non-numeric value on line {lineno}: {exc}") from None
-    if not rows:
-        raise EmptySet(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SchemaError(f"{path}: rows have inconsistent column counts")
-    return validate_distance_matrix(np.array(rows, dtype=np.float64), tolerance)
+    return validate_distance_matrix(_read_csv(path, header=False), tolerance)

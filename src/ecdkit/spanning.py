@@ -66,9 +66,6 @@ class SpanningGraph:
         ej = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
         return ei, ej
 
-    def layer_edges(self, layer: int):
-        return [e for e in self.edges if e[3] == layer]
-
 
 def _prim(weights: np.ndarray):
     """One MST of the weighted complete graph; `inf` entries mark excluded edges.

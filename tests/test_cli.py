@@ -7,7 +7,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from ecdkit import DistanceMatrix, FeatureSet, kmst, pairwise_distances
 from ecdkit.cli import main
+from ecdkit.ecd import subsample_round_indices
 
 
 def write_points(path, pts):
@@ -203,6 +205,43 @@ class TestDumpGraph:
             body = list(csv.reader(fh))[1:]
         assert len(body) == 3 * 19
         assert {r[0] for r in body} == {"1", "2", "3"}
+
+    @pytest.mark.parametrize("subsampled", [False, True], ids=["plain", "subsampled"])
+    @pytest.mark.parametrize("mode", ["features", "distances"])
+    def test_dump_is_the_scored_graph(self, tmp_path, capsys, mode, subsampled):
+        rng = np.random.default_rng(83)
+        n, m, k, seed = (14 if subsampled else 8), 8, 2, 5
+        big = rng.standard_normal((n, 3))
+        small = rng.standard_normal((m, 3))
+        pooled = pairwise_distances(FeatureSet(big), FeatureSet(small))
+        if mode == "features":
+            inputs = ["--set-a", write_points(tmp_path / "a.csv", big),
+                      "--set-b", write_points(tmp_path / "b.csv", small)]
+        else:
+            inputs = ["--distances", write_distance_matrix(tmp_path / "d.csv", pooled.values),
+                      "--split", str(n)]
+        dump = tmp_path / "edges.csv"
+        code, payload = run_json(capsys, ["ecd", *inputs, "--k", str(k), "--seed", str(seed),
+                                          "--dump-graph", str(dump)])
+        assert code == 0
+        assert payload["rounds"] == (10 if subsampled else None)
+
+        # round 0 keeps first-set rows idx and every second-set row
+        idx = subsample_round_indices(seed, 0, n, m) if subsampled else np.arange(n)
+        keep = np.concatenate([idx, np.arange(n, n + m)])
+        if mode == "features":
+            d0 = pairwise_distances(FeatureSet(big[idx]), FeatureSet(small))
+        else:
+            d0 = DistanceMatrix(pooled.values[np.ix_(keep, keep)])
+        want = [[str(layer), str(i), str(j), repr(w)] for i, j, w, layer in kmst(d0, k).edges]
+        with open(dump, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert body == want
+
+        split = len(idx)
+        ends = np.array([[int(r[1]), int(r[2])] for r in body])
+        assert payload["r1"] == int(np.sum((ends < split).all(axis=1)))
+        assert payload["r2"] == int(np.sum((ends >= split).all(axis=1)))
 
 
 class TestMeasuresCommand:

@@ -293,6 +293,17 @@ class TestReport:
         assert abs(report.recomputed_statistic() - report.statistic) <= 1e-9
 
 
+def subsample_distances(a, b, **kwargs):
+    labels = PooledLabels(a.n_points, b.n_points)
+    return ecd_subsampled_from_distances(pairwise_distances(a, b), labels, **kwargs)
+
+
+SUBSAMPLE_ROUTES = [
+    pytest.param(ecd_subsampled, id="features"),
+    pytest.param(subsample_distances, id="distances"),
+]
+
+
 class TestSubsampling:
     def test_single_round_equals_plain(self):
         rng = np.random.default_rng(301)
@@ -336,16 +347,21 @@ class TestSubsampling:
         )
         assert from_dist.statistic == from_features.statistic
 
-    def test_generated_set_too_small(self):
+    @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
+    def test_generated_set_too_small(self, subsample):
         rng = np.random.default_rng(304)
         a = FeatureSet(rng.standard_normal((5, 2)))
         b = FeatureSet(rng.standard_normal((8, 2)))
         with pytest.raises(GeneratedSetTooSmall):
-            ecd_subsampled(a, b, k=1, rounds=2, seed=0)
+            subsample(a, b, k=1, rounds=2, seed=0)
 
-    def test_round_count_validation(self):
+    @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
+    def test_round_count_validation(self, subsample):
         rng = np.random.default_rng(305)
         a = FeatureSet(rng.standard_normal((8, 2)))
         b = FeatureSet(rng.standard_normal((8, 2)))
         with pytest.raises(InvalidTrials):
-            ecd_subsampled(a, b, k=1, rounds=0, seed=0)
+            subsample(a, b, k=1, rounds=0, seed=0)
+        # a bad round count is reported ahead of an undersized first set
+        with pytest.raises(InvalidTrials):
+            subsample(FeatureSet(a.points[:5]), b, k=1, rounds=0, seed=0)

@@ -162,19 +162,26 @@ def test_load_feature_csv_without_header(tmp_path):
     assert load_feature_csv(p).n_points == 2
 
 
-def test_load_feature_csv_errors(tmp_path):
-    ragged = tmp_path / "r.csv"
-    ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(SchemaError):
-        load_feature_csv(ragged)
-    empty = tmp_path / "e.csv"
-    empty.write_text("")
-    with pytest.raises(EmptySet):
-        load_feature_csv(empty)
-    junk = tmp_path / "j.csv"
-    junk.write_text("1.0,2.0\n3.0,abc\n")
-    with pytest.raises(SchemaError):
-        load_feature_csv(junk)
+_BAD_CSV = (
+    ("ragged", "1.0,2.0\n3.0\n", SchemaError),
+    ("empty", "", EmptySet),
+    ("non-numeric", "1.0,2.0\n3.0,abc\n", SchemaError),
+)
+
+
+@pytest.mark.parametrize("loader, text, error", [
+    *(pytest.param(loader, text, error, id=f"{loader.__name__}-{case}")
+      for loader in (load_feature_csv, load_distance_csv)
+      for case, text, error in _BAD_CSV),
+    # distance files have no header row to skip
+    pytest.param(load_distance_csv, "a,b\n0.0,1.0\n1.0,0.0\n", SchemaError,
+                 id="load_distance_csv-header"),
+])
+def test_load_csv_errors(tmp_path, loader, text, error):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error):
+        loader(path)
 
 
 def test_load_distance_csv_roundtrip(tmp_path):
