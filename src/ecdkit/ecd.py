@@ -320,9 +320,12 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int):
         )
     total = 0.0
     for r in range(rounds):
-        d = pooled(subsample_round_indices(seed, r, n_large, m))
-        # labels after the matrix: a dimension mismatch is reported first
-        rep, g = _score(d, PooledLabels(n=m, m=m), k)
+        # with equal sizes every round draws the whole first set, so the
+        # round-0 statistic is added again instead of rescored
+        if r == 0 or n_large > m:
+            d = pooled(subsample_round_indices(seed, r, n_large, m))
+            # labels after the matrix: a dimension mismatch is reported first
+            rep, g = _score(d, PooledLabels(n=m, m=m), k)
         if r == 0:
             first, first_graph = rep, g
         total += rep.statistic

@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
 )
 from .metricspace import FeatureSet, cross_distances
-from .numerics import psd_sqrt
+from .numerics import _psd_sqrt_trace, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,10 @@ def frechet_gaussian(p: GaussianSummary, q: GaussianSummary) -> float:
     mean_term = float(np.einsum("i,i->", diff, diff))
     root_p = psd_sqrt(p.covariance)
     inner = np.einsum("ij,jk->ik", np.einsum("ij,jk->ik", root_p, q.covariance), root_p)
-    cross_root = psd_sqrt((inner + inner.T) / 2.0)
+    # only the trace of the second root is needed: eigenvalues suffice
+    cross_trace = _psd_sqrt_trace((inner + inner.T) / 2.0)
     trace_term = float(
-        np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * np.trace(cross_root)
+        np.trace(p.covariance) + np.trace(q.covariance) - 2.0 * cross_trace
     )
     return max(mean_term + trace_term, 0.0)
 

@@ -1,5 +1,6 @@
 """Edge-count statistic and its permutation-null moments."""
 
+import importlib
 import json
 
 import numpy as np
@@ -346,6 +347,32 @@ class TestSubsampling:
             d, PooledLabels(30, 12), k=2, rounds=4, seed=21
         )
         assert from_dist.statistic == from_features.statistic
+
+    @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
+    def test_equal_sizes_score_once(self, subsample, monkeypatch):
+        # every round would draw the whole first set: one k-MST, and the
+        # mean is the round-0 statistic added `rounds` times
+        rng = np.random.default_rng(306)
+        a = FeatureSet(rng.standard_normal((20, 3)))
+        b = FeatureSet(rng.standard_normal((20, 3)))
+        rounds = 7
+        once = ecd(a, b, k=2).statistic
+        ecd_module = importlib.import_module("ecdkit.ecd")
+        real_kmst = ecd_module.kmst
+        calls = []
+
+        def counting_kmst(d, k):
+            calls.append(k)
+            return real_kmst(d, k)
+
+        monkeypatch.setattr(ecd_module, "kmst", counting_kmst)
+        sub = subsample(a, b, k=2, rounds=rounds, seed=5)
+        assert len(calls) == 1
+        total = 0.0
+        for _ in range(rounds):
+            total += once
+        assert sub.statistic == total / rounds
+        assert sub.subsample_rounds == rounds
 
     @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
     def test_generated_set_too_small(self, subsample):

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from ecdkit.errors import NonSquareError, NotPSD, SingularCovariance
+from ecdkit.errors import NoConvergence, NonSquareError, NotPSD, SingularCovariance
 from ecdkit.numerics import psd_sqrt, quadratic_form_2x2, sym_eig
 
 
@@ -10,12 +12,36 @@ def random_symmetric(rng, n):
     return (a + a.T) / 2.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40])
+def binary_covariance(n):
+    # +-1 features: a covariance with near-repeated eigenvalues
+    rng = np.random.default_rng(n)
+    x = rng.choice([-1.0, 1.0], size=(500, n))
+    dev = x - x.mean(axis=0)
+    return np.einsum("ni,nj->ij", dev, dev) / 499.0
+
+
+def identity_plus_rank_one(n):
+    # eigenvalue 1 repeated n - 1 times
+    u = np.random.default_rng(n).standard_normal(n)
+    return np.eye(n) + np.einsum("i,j->ij", u, u)
+
+
+DEGENERATE = {
+    "zero-100": lambda: np.zeros((100, 100)),
+    "identity-plus-rank-one-100": lambda: identity_plus_rank_one(100),
+    "binary-covariance-100": lambda: binary_covariance(100),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40, 41, 100, 101, *DEGENERATE])
 def test_sym_eig_matches_lapack(n):
     # numpy's eigh is the independent reference; production code never
     # calls it
-    rng = np.random.default_rng(n)
-    m = random_symmetric(rng, n)
+    if n in DEGENERATE:
+        m = DEGENERATE[n]()
+        n = m.shape[0]
+    else:
+        m = random_symmetric(np.random.default_rng(n), n)
     w, v = sym_eig(m)
     w_ref, _ = np.linalg.eigh(m)
     assert np.allclose(w, w_ref, atol=1e-10)
@@ -24,6 +50,30 @@ def test_sym_eig_matches_lapack(n):
     assert np.allclose(m @ v, v * w, atol=1e-9)
     # orthonormal basis
     assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)
+
+
+def test_sym_eig_sweep_limit():
+    m = random_symmetric(np.random.default_rng(20), 20)
+    with pytest.raises(NoConvergence):
+        sym_eig(m, max_sweeps=1)
+
+
+def test_sym_eig_same_bytes_in_concurrent_threads():
+    m = binary_covariance(100)
+    results = [None, None]
+
+    def solve(slot):
+        results[slot] = sym_eig(m)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    (w0, v0), (w1, v1) = results
+    assert w0.tobytes() == w1.tobytes()
+    assert v0.tobytes() == v1.tobytes()
 
 
 def test_sym_eig_trace_and_determinant():

@@ -6,9 +6,11 @@ import pytest
 from ecdkit import (
     AsymmetryError,
     DimensionMismatch,
+    DistributionSpec,
     FeatureSet,
     GaussianSummary,
     NegativeDistanceError,
+    NotPSD,
     TooFewSamples,
     coverage,
     fit_gaussian,
@@ -16,12 +18,26 @@ from ecdkit import (
     measures_from_cross,
     measures_from_features,
     mmd,
+    sample,
 )
 from ecdkit.setmeasures import coverage_from_cross, mmd_from_cross
 
 
 def fs(values):
     return FeatureSet(np.asarray(values, dtype=float))
+
+
+def lapack_frechet(p, q):
+    """(Fréchet distance, ||dmu||^2 + tr Sp + tr Sq) from numpy's LAPACK
+    eigensolvers, an independent reference."""
+    w, v = np.linalg.eigh(p.covariance)
+    root_p = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    inner = root_p @ q.covariance @ root_p
+    ev = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    diff = p.mean - q.mean
+    scale = float(diff @ diff + np.trace(p.covariance) + np.trace(q.covariance))
+    value = scale - 2.0 * float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+    return max(value, 0.0), scale
 
 
 class TestCoverage:
@@ -139,6 +155,21 @@ class TestFrechet:
         q = GaussianSummary(mu_q, np.diag(nu), 10)
         expected = float(((mu_p - mu_q) ** 2).sum() + ((np.sqrt(lam) - np.sqrt(nu)) ** 2).sum())
         assert frechet_gaussian(p, q) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "binary"])
+    def test_matches_lapack_at_dim_100(self, kind):
+        p = fit_gaussian(sample(DistributionSpec(kind, 100), 500, 1))
+        q = fit_gaussian(sample(DistributionSpec("gaussian", 100), 500, 2))
+        ref, scale = lapack_frechet(p, q)
+        assert abs(frechet_gaussian(p, q) - ref) <= 1e-9 * scale
+
+    def test_indefinite_cross_term_rejected(self):
+        # S_p^{1/2} S_q S_p^{1/2} = diag(1, -0.5): the eigenvalues-only
+        # root keeps psd_sqrt's NotPSD rule
+        p = GaussianSummary(np.zeros(2), np.eye(2), 10)
+        q = GaussianSummary(np.zeros(2), np.diag([1.0, -0.5]), 10)
+        with pytest.raises(NotPSD):
+            frechet_gaussian(p, q)
 
     def test_dimension_mismatch(self):
         p = GaussianSummary(np.zeros(2), np.eye(2), 10)
