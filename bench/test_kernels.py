@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the eigensolver kernels at dim 100.
+"""Micro-benchmarks of the eigensolver, pooled-distance and k-MST kernels.
 
 Run from the repository root with
 
@@ -11,7 +11,14 @@ This directory sits outside the test suite's `testpaths`, so a plain
 import numpy as np
 import pytest
 
-from ecdkit import DistributionSpec, fit_gaussian, frechet_gaussian, sample
+from ecdkit import (
+    DistributionSpec,
+    fit_gaussian,
+    frechet_gaussian,
+    kmst,
+    pairwise_distances,
+    sample,
+)
 from ecdkit.numerics import sym_eig
 
 DIM = 100
@@ -32,3 +39,24 @@ def test_sym_eig_dim_100(benchmark, summaries):
 def test_frechet_dim_100(benchmark, summaries):
     value = benchmark(frechet_gaussian, *summaries)
     assert value > 0.0
+
+
+def pooled(kind, n, dim):
+    return sample(DistributionSpec(kind, dim), n, 0), sample(DistributionSpec(kind, dim), n, 1)
+
+
+def test_pairwise_distances_4000_dim_32(benchmark):
+    d = benchmark(pairwise_distances, *pooled("gaussian", 2000, 32))
+    assert d.n_points == 4000
+
+
+def test_kmst_gaussian_4000_dim_32(benchmark):
+    d = pairwise_distances(*pooled("gaussian", 2000, 32))
+    g = benchmark.pedantic(kmst, (d, 10), rounds=3)
+    assert g.n_edges == 10 * 3999
+
+
+def test_kmst_binary_1000_dim_100(benchmark):
+    d = pairwise_distances(*pooled("binary", 500, 100))
+    g = benchmark.pedantic(kmst, (d, 10), rounds=5)
+    assert g.n_edges == 10 * 999

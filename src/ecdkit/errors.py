@@ -64,6 +64,10 @@ class InvalidK(InputError):
     pass
 
 
+class InvalidEdge(InputError):
+    """An edge names a node index outside the graph."""
+
+
 class InvalidTrials(InputError):
     pass
 

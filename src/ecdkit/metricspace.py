@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     AsymmetryError,
@@ -125,18 +125,17 @@ def _check_metric(metric: str) -> str:
 def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> DistanceMatrix:
     """Dense distance matrix over the pooled rows ``[a; b]``.
 
-    Each unordered pair is computed once and mirrored, so the two halves
-    are bitwise identical and the result passes validation with zero
-    tolerance. Entries are computed independently of one another; the
-    output does not depend on any parallel execution schedule.
+    Each unordered pair is computed once (``pdist``) and mirrored
+    (``squareform``), so the two halves are bitwise identical and the
+    result passes validation with zero tolerance. Entries are computed
+    independently of one another; the output does not depend on any
+    parallel execution schedule.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)
     pooled = np.vstack([a.points, b.points])
-    raw = cdist(pooled, pooled, metric=name)
-    upper = np.triu(raw, k=1)
-    return DistanceMatrix(upper + upper.T)
+    return DistanceMatrix(squareform(pdist(pooled, metric=name)))
 
 
 def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> np.ndarray:

@@ -15,11 +15,12 @@ The hash order is just as deterministic but uncorrelated with the split.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedError, InvalidK, SizeMismatch
+from .errors import DisconnectedError, InvalidEdge, InvalidK, SizeMismatch
 from .metricspace import DistanceMatrix
 
 #: Tree multiplicity used throughout unless a caller overrides it.
@@ -28,19 +29,25 @@ DEFAULT_K = 10
 _MIX_INC = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
+_SHIFT_27, _SHIFT_30, _SHIFT_31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
     """Deterministic pseudo-random rank of normalized node pairs.
 
     splitmix64-style finalizer over the flattened pair key; pure uint64
-    wraparound arithmetic, identical on every platform.
+    wraparound arithmetic, identical on every platform. It is a bijection
+    of the key, so distinct pairs never share a rank.
     """
-    key = np.asarray(lo, dtype=np.uint64) * np.uint64(n_nodes) + np.asarray(hi, dtype=np.uint64)
-    z = key + _MIX_INC
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+    z = np.asarray(lo, dtype=np.uint64) * np.uint64(n_nodes)
+    z += np.asarray(hi, dtype=np.uint64)
+    z += _MIX_INC
+    z ^= z >> _SHIFT_30
+    z *= _MIX_A
+    z ^= z >> _SHIFT_27
+    z *= _MIX_B
+    z ^= z >> _SHIFT_31
+    return z
 
 
 @dataclass(frozen=True)
@@ -67,68 +74,89 @@ class SpanningGraph:
         return ei, ej
 
 
-def _prim(weights: np.ndarray):
-    """One MST of the weighted complete graph; `inf` entries mark excluded edges.
+def _exclusions(n: int, pairs: np.ndarray):
+    """Per-node exclusion lists in CSR form from an (m, 2) array of node pairs.
 
-    Starts from node 0. At every step the cheapest frontier edge is
-    added; among equal-weight frontier edges the one with the smallest
-    pair rank wins (raw (i, j) order as a final fallback).
+    Node v excludes the edges to ``nbr[ptr[v]:ptr[v + 1]]``.
     """
-    n = weights.shape[0]
+    ends = pairs.ravel()
+    others = pairs[:, ::-1].ravel()
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+    return ptr, others[np.argsort(ends, kind="stable")]
+
+
+def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
+    """One MST of the complete graph minus the excluded edges `(ptr, nbr)`.
+
+    Reads `d.values` in place. Starts from node 0. At every step the
+    cheapest frontier edge is added; among equal-weight frontier edges
+    the one with the smallest pair rank wins. Tree nodes hold NaN in
+    `best`, so they are never the minimum, never closer and never tied.
+    """
+    values = d.values
+    n = values.shape[0]
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
-    verts = np.arange(n)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = weights[0].copy()
+    best = values[0].copy()
+    best[nbr[ptr[0]:ptr[1]]] = np.inf
+    best[0] = np.nan
     parent = np.zeros(n, dtype=np.int64)
+    at_lowest = np.empty(n, dtype=bool)
+    closer = np.empty(n, dtype=bool)
+    tied = np.empty(n, dtype=bool)
     edges = []
     for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        lowest = masked.min()
-        if not np.isfinite(lowest):
+        lowest = np.fmin.reduce(best)
+        if lowest == np.inf:
             raise DisconnectedError("graph is disconnected under the current edge exclusions")
-        cand = np.flatnonzero(masked == lowest)
+        np.equal(best, lowest, out=at_lowest)
+        cand = at_lowest.nonzero()[0]
         if cand.size == 1:
             vertex = int(cand[0])
         else:
-            pair_lo = np.minimum(parent[cand], cand)
-            pair_hi = np.maximum(parent[cand], cand)
-            ranks = _pair_rank(n, pair_lo, pair_hi)
-            vertex = int(cand[np.lexsort((pair_hi, pair_lo, ranks))[0]])
+            # candidates are distinct frontier nodes with tree parents, so
+            # their pairs, and hence their ranks, are distinct
+            ends = parent[cand]
+            ranks = _pair_rank(n, np.minimum(ends, cand), np.maximum(ends, cand))
+            vertex = int(cand[ranks.argmin()])
         u = int(parent[vertex])
         i, j = (u, vertex) if u < vertex else (vertex, u)
-        edges.append((i, j, float(weights[u, vertex])))
-        in_tree[vertex] = True
-        row = weights[vertex]
-        closer = row < best
-        tied = row == best
-        if tied.any():
-            # keep the lower-ranked tree endpoint for each tied frontier edge
-            lo_new = np.minimum(vertex, verts)
-            hi_new = np.maximum(vertex, verts)
-            lo_old = np.minimum(parent, verts)
-            hi_old = np.maximum(parent, verts)
-            better = tied & (_pair_rank(n, lo_new, hi_new) < _pair_rank(n, lo_old, hi_old))
-        else:
-            better = tied
+        edges.append((i, j, float(values[u, vertex])))
+        best[vertex] = np.nan
+        row = values[vertex]
+        np.less(row, best, out=closer)
+        np.equal(row, best, out=tied)
+        excluded = nbr[ptr[vertex]:ptr[vertex + 1]]
+        closer[excluded] = False
+        tied[excluded] = False
         np.copyto(best, row, where=closer)
-        parent[closer | better] = vertex
+        parent[closer] = vertex
+        ties = tied.nonzero()[0]
+        if ties.size:
+            # keep the lower-ranked tree endpoint for each tied frontier edge
+            ends = np.stack((np.full(ties.size, vertex), parent[ties]))
+            ranks = _pair_rank(n, np.minimum(ends, ties), np.maximum(ends, ties))
+            parent[ties[ranks[0] < ranks[1]]] = vertex
     return edges
 
 
 def mst(d: DistanceMatrix, excluded=()):
     """Minimum spanning tree of the complete graph minus `excluded` edges.
 
-    `excluded` is an iterable of (i, j) pairs in either orientation.
+    `excluded` is an iterable of (i, j) pairs in either orientation, each
+    index in 0..N-1; anything else raises InvalidEdge.
     Returns N-1 edges as (i, j, weight) with i < j.
     """
-    w = d.values.copy()
-    np.fill_diagonal(w, np.inf)
-    for i, j in excluded:
-        w[i, j] = np.inf
-        w[j, i] = np.inf
-    return _prim(w)
+    n = d.n_points
+    try:
+        pairs = [(operator.index(i), operator.index(j)) for i, j in excluded]
+    except TypeError:
+        raise InvalidEdge("excluded edges must be pairs of integer node indices") from None
+    for pair in pairs:
+        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
+            raise InvalidEdge(f"excluded edge {pair} has a node outside 0..{n - 1}")
+    return _prim(d, *_exclusions(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)))
 
 
 def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
@@ -140,24 +168,18 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidK(f"tree multiplicity k must be a positive integer, got {k!r}")
     n = d.n_points
-    w = d.values.copy()
-    np.fill_diagonal(w, np.inf)
+    used = np.empty((0, 2), dtype=np.int64)
     all_edges = []
     for layer in range(1, k + 1):
         try:
-            layer_edges = _prim(w)
+            layer_edges = _prim(d, *_exclusions(n, used))
         except DisconnectedError as exc:
             raise DisconnectedError(
                 f"layer {layer} of {k} cannot be completed: {exc}", layer=layer
             ) from None
-        for i, j, weight in layer_edges:
-            all_edges.append((i, j, weight, layer))
-            w[i, j] = np.inf
-            w[j, i] = np.inf
-    degrees = np.zeros(n, dtype=np.int64)
-    for i, j, _, _ in all_edges:
-        degrees[i] += 1
-        degrees[j] += 1
+        all_edges.extend((i, j, weight, layer) for i, j, weight in layer_edges)
+        used = np.concatenate((used, np.array([e[:2] for e in layer_edges], dtype=np.int64)))
+    degrees = np.bincount(used.ravel(), minlength=n)
     return SpanningGraph(edges=tuple(all_edges), n_nodes=n, k=int(k), degrees=degrees)
 
 

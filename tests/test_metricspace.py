@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ecdkit.errors import (
     AsymmetryError,
@@ -61,6 +64,39 @@ def test_pairwise_distances_bitwise_symmetric():
     d = pairwise_distances(a, b)
     assert np.array_equal(d.values, d.values.T)
     assert np.all(np.diagonal(d.values) == 0.0)
+
+
+def mirrored_cdist(a, b, metric):
+    """The pooled matrix as cdist -> upper triangle -> mirror builds it."""
+    name = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}[metric]
+    pooled = np.vstack([a.points, b.points])
+    upper = np.triu(cdist(pooled, pooled, metric=name), k=1)
+    return upper + upper.T
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("n, m, dim", [(15, 11, 4), (8, 9, 1), (100, 77, 32), (3, 2, 300)])
+def test_pairwise_distances_bitwise_gate(metric, n, m, dim):
+    rng = np.random.default_rng(n * m + dim)
+    a = FeatureSet(rng.standard_normal((n, dim)))
+    b = FeatureSet(rng.standard_normal((m, dim)) * 1.7 + 0.3)
+    d = pairwise_distances(a, b, metric).values
+    assert d.tobytes() == mirrored_cdist(a, b, metric).tobytes()
+    # the cross block is what coverage and MMD compute on their own
+    assert d[:n, n:].tobytes() == cross_distances(a, b, metric).tobytes()
+
+
+def test_pairwise_distances_peak_memory():
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((1200, 8))
+    a, b = FeatureSet(pts[:600]), FeatureSet(pts[600:])
+    tracemalloc.start()
+    try:
+        pairwise_distances(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1200 * 1200 * 8
 
 
 def test_squared_metric_matches_squared_euclidean():

@@ -1,17 +1,25 @@
 """Layered spanning graph construction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from spanning_reference import reference_kmst, reference_mst
 
 from ecdkit import (
     DisconnectedError,
     DistanceMatrix,
+    FeatureSet,
+    InputError,
+    InvalidEdge,
     InvalidK,
     degree_statistic,
     kmst,
     mst,
+    pairwise_distances,
 )
 
 
@@ -211,3 +219,118 @@ class TestValidation:
     def test_bool_k_rejected(self):
         with pytest.raises(InvalidK):
             kmst(dmat([0.0, 1.0, 2.0]), k=True)
+
+
+class TestExcludedValidation:
+    def test_negative_index_rejected(self):
+        # a wrapped -1 would silently exclude edge (2, 3) instead
+        with pytest.raises(InvalidEdge):
+            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(-1, 2)])
+
+    def test_index_past_last_node_rejected(self):
+        with pytest.raises(InvalidEdge):
+            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(4, 2)])
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(InvalidEdge):
+            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(1.0, 2)])
+
+    def test_is_an_input_error(self):
+        # the CLI maps every InputError to exit status 2
+        assert issubclass(InvalidEdge, InputError)
+
+
+# --- equality gate against the frozen dense-copy construction ---------------
+
+KINDS = ("gaussian", "binary", "ternary", "duplicate")
+
+
+def pooled_matrix(kind, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        pts = rng.standard_normal((n, dim))
+    elif kind == "binary":
+        pts = rng.choice([-1.0, 1.0], size=(n, dim))
+    elif kind == "ternary":
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+    else:
+        pts = np.zeros((n, dim))
+    half = n // 2
+    return pairwise_distances(FeatureSet(pts[:half]), FeatureSet(pts[half:]))
+
+
+def outcome(build, *args):
+    """The graph `build` returns, or the layer and message of its DisconnectedError."""
+    try:
+        return build(*args)
+    except DisconnectedError as exc:
+        return exc.layer, str(exc)
+
+
+def assert_same_graph(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.edges == want.edges
+    assert [np.float64(e[2]).tobytes() for e in got.edges] == [
+        np.float64(e[2]).tobytes() for e in want.edges
+    ]
+    assert got.degrees.dtype == want.degrees.dtype
+    assert np.array_equal(got.degrees, want.degrees)
+    assert (got.n_nodes, got.k) == (want.n_nodes, want.k)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, dim, k", [(40, 3, 5), (61, 8, 10), (12, 2, 6), (9, 1, 5)])
+    def test_kmst(self, kind, n, dim, k):
+        d = pooled_matrix(kind, n, dim, seed=n * dim + k)
+        assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_infeasible_k_fails_on_the_same_layer(self, kind):
+        d = pooled_matrix(kind, 10, 2, seed=5)
+        got = outcome(kmst, d, 6)  # 6 trees need 54 of K10's 45 edges
+        assert isinstance(got, tuple)
+        assert got == outcome(reference_kmst, d, 6)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mst_with_exclusions(self, kind):
+        d = pooled_matrix(kind, 30, 4, seed=9)
+        rng = np.random.default_rng(17)
+        excluded = [tuple(int(v) for v in rng.integers(0, 30, 2)) for _ in range(60)]
+        assert mst(d, excluded) == reference_mst(d, excluded)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mst_disconnected_by_exclusions(self, kind):
+        d = pooled_matrix(kind, 8, 2, seed=3)
+        excluded = [(3, j) for j in range(8)]
+        assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(4, 40),
+        dim=st.integers(1, 5),
+        k_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, kind, n, dim, k_share, seed):
+        k = 1 + int(k_share * (n // 2))  # 1..N/2 + 1, the last one infeasible
+        d = pooled_matrix(kind, n, dim, seed)
+        assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+        excluded = [tuple(int(v) for v in pair)
+                    for pair in np.random.default_rng(seed).integers(0, n, (n, 2))]
+        assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
+
+
+def test_kmst_holds_no_matrix_copy():
+    n = 1200
+    d = pooled_matrix("gaussian", n, 8, seed=1)
+    tracemalloc.start()
+    try:
+        kmst(d, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
