@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the eigensolver, pooled-distance and k-MST kernels.
+"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count
+and null-moment kernels.
 
 Run from the repository root with
 
@@ -13,9 +14,12 @@ import pytest
 
 from ecdkit import (
     DistributionSpec,
+    PooledLabels,
+    edge_counts,
     fit_gaussian,
     frechet_gaussian,
     kmst,
+    null_moments,
     pairwise_distances,
     sample,
 )
@@ -50,10 +54,29 @@ def test_pairwise_distances_4000_dim_32(benchmark):
     assert d.n_points == 4000
 
 
-def test_kmst_gaussian_4000_dim_32(benchmark):
-    d = pairwise_distances(*pooled("gaussian", 2000, 32))
-    g = benchmark.pedantic(kmst, (d, 10), rounds=3)
+@pytest.fixture(scope="module")
+def gaussian_4000_dim_32():
+    return pairwise_distances(*pooled("gaussian", 2000, 32))
+
+
+@pytest.fixture(scope="module")
+def graph_4000_dim_32(gaussian_4000_dim_32):
+    return kmst(gaussian_4000_dim_32, 10)
+
+
+def test_kmst_gaussian_4000_dim_32(benchmark, gaussian_4000_dim_32):
+    g = benchmark.pedantic(kmst, (gaussian_4000_dim_32, 10), rounds=3)
     assert g.n_edges == 10 * 3999
+
+
+def test_edge_counts_4000_dim_32(benchmark, graph_4000_dim_32):
+    counts = benchmark(edge_counts, graph_4000_dim_32, PooledLabels(2000, 2000))
+    assert counts.total == graph_4000_dim_32.n_edges
+
+
+def test_null_moments_4000_dim_32(benchmark, graph_4000_dim_32):
+    moments = benchmark(null_moments, graph_4000_dim_32, 2000, 2000)
+    assert moments.n_edges == graph_4000_dim_32.n_edges
 
 
 def test_kmst_binary_1000_dim_100(benchmark):

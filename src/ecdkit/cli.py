@@ -79,8 +79,8 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "i", "j", "weight"])
-        for i, j, weight, layer in g.edges:
-            writer.writerow([layer, i, j, repr(weight)])
+        writer.writerows(zip(g.layer.tolist(), g.ei.tolist(), g.ej.tolist(),
+                             map(repr, g.weight.tolist())))
 
 
 def cmd_ecd(args) -> int:

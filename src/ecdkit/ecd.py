@@ -126,7 +126,7 @@ def edge_counts(g: SpanningGraph, labels: PooledLabels) -> EdgeCounts:
             f"label split covers {labels.n_total} nodes, graph has {g.n_nodes}"
         )
     in_first = np.arange(g.n_nodes) < labels.split_index
-    r1, r2 = _within_counts(*g.edge_index_arrays(), in_first)
+    r1, r2 = _within_counts(g.ei, g.ej, in_first)
     return EdgeCounts(r1=r1, r2=r2, r12=g.n_edges - r1 - r2)
 
 
@@ -195,7 +195,18 @@ def _score(d: DistanceMatrix, labels: PooledLabels, k: int):
     g = kmst(d, k)
     counts = edge_counts(g, labels)
     moments = null_moments(g, labels.n, labels.m)
-    stat = ecd_statistic(counts, moments)
+    try:
+        stat = ecd_statistic(counts, moments)
+    except SingularCovariance as exc:
+        deg = g.degrees
+        if deg.min() != deg.max():
+            raise
+        # summing degrees over each side gives 2 R1 + R12 = d n and
+        # 2 R2 + R12 = d m, so no relabeling can move R1 - R2
+        raise SingularCovariance(
+            f"{exc}: the k-MST is {deg[0]}-regular, so R1 - R2 is fixed at {deg[0]}(n - m)/2",
+            determinant=exc.determinant,
+        ) from None
     report = EcdReport(
         statistic=stat, counts=counts, moments=moments,
         k=int(k), n=labels.n, m=labels.m,
@@ -233,14 +244,13 @@ def permutation_samples(
         raise InvalidTrials(f"need at least 1 trial, got {trials}")
     if g.n_nodes != n + m:
         raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {n + m}")
-    ei, ej = g.edge_index_arrays()
     out = np.empty((trials, 2), dtype=np.float64)
     for t in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
         perm = rng.permutation(n + m)
         in_first = np.zeros(n + m, dtype=bool)
         in_first[perm[:n]] = True
-        out[t] = _within_counts(ei, ej, in_first)
+        out[t] = _within_counts(g.ei, g.ej, in_first)
     return out
 
 
@@ -250,15 +260,7 @@ def permutation_moments(
     """Monte-Carlo estimate of the null moments (sample covariance, trials - 1)."""
     if trials < 2:
         raise InvalidTrials(f"sample covariance needs at least 2 trials, got {trials}")
-    samples = permutation_samples(g, n, m, trials, seed)
-    mean = samples.mean(axis=0)
-    dev = samples - mean
-    # fixed-order contraction; avoids thread-count-dependent summation
-    sigma = np.einsum("ti,tj->ij", dev, dev) / (trials - 1.0)
-    return NullMoments(
-        mu1=float(mean[0]), mu2=float(mean[1]), sigma=sigma,
-        c=degree_statistic(g), n_edges=g.n_edges,
-    )
+    return _sample_moments(g, permutation_samples(g, n, m, trials, seed), ddof=1)
 
 
 def exhaustive_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
@@ -270,16 +272,20 @@ def exhaustive_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
     big_n = n + m
     if g.n_nodes != big_n:
         raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {big_n}")
-    ei, ej = g.edge_index_arrays()
     rows = []
     for subset in itertools.combinations(range(big_n), n):
         in_first = np.zeros(big_n, dtype=bool)
         in_first[list(subset)] = True
-        rows.append(_within_counts(ei, ej, in_first))
-    samples = np.array(rows, dtype=np.float64)
+        rows.append(_within_counts(g.ei, g.ej, in_first))
+    return _sample_moments(g, np.array(rows, dtype=np.float64), ddof=0)
+
+
+def _sample_moments(g: SpanningGraph, samples: np.ndarray, ddof: int) -> NullMoments:
+    """Mean and covariance (divisor len(samples) - ddof) of (R1, R2) rows."""
     mean = samples.mean(axis=0)
     dev = samples - mean
-    sigma = np.einsum("ti,tj->ij", dev, dev) / samples.shape[0]
+    # fixed-order contraction; avoids thread-count-dependent summation
+    sigma = np.einsum("ti,tj->ij", dev, dev) / (samples.shape[0] - ddof)
     return NullMoments(
         mu1=float(mean[0]), mu2=float(mean[1]), sigma=sigma,
         c=degree_statistic(g), n_edges=g.n_edges,

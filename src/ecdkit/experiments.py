@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecd import ecd
+from .ecd import ecd, ecd_from_distances
 from .errors import InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet
-from .setmeasures import coverage, fit_gaussian, frechet_gaussian, mmd
+from .metricspace import FeatureSet, PooledLabels, pairwise_distances
+from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
 from .spanning import DEFAULT_K
 
 KINDS = ("gaussian", "uniform", "binary")
@@ -205,10 +205,13 @@ def _sweep_cell(args) -> list:
     seed_b = derive_seed(base_seed, exp, dim, var, "gaussian", "gaussian", "B")
     a = sample(DistributionSpec("gaussian", dim, var), n, seed_a)
     b = sample(DistributionSpec("gaussian", dim, 1.0), n, seed_b)
+    # one pooled matrix; its cross block is bitwise cross_distances(a, b)
+    d = pairwise_distances(a, b)
+    near = measures_from_cross(d.values[:n, n:])
     triples = [
-        ("ECD", ecd(a, b, k).statistic),
-        ("COV", coverage(a, b)),
-        ("MMD", mmd(a, b)),
+        ("ECD", ecd_from_distances(d, PooledLabels(n, n), k).statistic),
+        ("COV", near.coverage),
+        ("MMD", near.mmd),
     ]
     return [
         ExperimentRow(

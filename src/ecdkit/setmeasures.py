@@ -12,7 +12,7 @@ variants would change reported magnitudes, not just topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def frechet_gaussian(p: GaussianSummary, q: GaussianSummary) -> float:
 def measures_from_features(a: FeatureSet, b: FeatureSet) -> MeasureResult:
     """All three measures from coordinates."""
     fre = frechet_gaussian(fit_gaussian(a), fit_gaussian(b))
-    return MeasureResult(coverage=coverage(a, b), mmd=mmd(a, b), frechet=fre)
+    return replace(measures_from_cross(cross_distances(a, b, "euclidean")), frechet=fre)
 
 
 def measures_from_cross(cross) -> MeasureResult:

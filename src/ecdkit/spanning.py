@@ -54,50 +54,50 @@ def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
 class SpanningGraph:
     """Edge-disjoint union of k spanning trees.
 
-    edges holds (i, j, weight, layer) with i < j and layer in 1..k, in
-    construction order; degrees[i] counts edges incident to node i.
+    Edge e joins nodes ei[e] < ej[e] at distance weight[e] and belongs to
+    tree layer[e] in 1..k; edges are stored in construction order.
     """
 
-    edges: tuple
+    ei: np.ndarray
+    ej: np.ndarray
+    weight: np.ndarray
+    layer: np.ndarray
     n_nodes: int
     k: int
-    degrees: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.ei.size
 
-    def edge_index_arrays(self):
-        """Endpoint index arrays (ei, ej), aligned with `edges` order."""
-        ei = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        ej = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        return ei, ej
+    @property
+    def degrees(self) -> np.ndarray:
+        """Number of edges incident to each node."""
+        return np.bincount(np.concatenate((self.ei, self.ej)), minlength=self.n_nodes)
 
-
-def _exclusions(n: int, pairs: np.ndarray):
-    """Per-node exclusion lists in CSR form from an (m, 2) array of node pairs.
-
-    Node v excludes the edges to ``nbr[ptr[v]:ptr[v + 1]]``.
-    """
-    ends = pairs.ravel()
-    others = pairs[:, ::-1].ravel()
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
-    return ptr, others[np.argsort(ends, kind="stable")]
+    @property
+    def edges(self) -> tuple:
+        """(i, j, weight, layer) per edge, in construction order."""
+        return tuple(zip(*(a.tolist() for a in (self.ei, self.ej, self.weight, self.layer))))
 
 
-def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
-    """One MST of the complete graph minus the excluded edges `(ptr, nbr)`.
+def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
+    """One MST of the complete graph minus the edges (ei[e], ej[e]).
 
-    Reads `d.values` in place. Starts from node 0. At every step the
+    Reads `d.values` in place; node v's excluded neighbours are
+    ``nbr[ptr[v]:ptr[v + 1]]`` (CSR). Starts from node 0. At every step the
     cheapest frontier edge is added; among equal-weight frontier edges
     the one with the smallest pair rank wins. Tree nodes hold NaN in
-    `best`, so they are never the minimum, never closer and never tied.
+    `best`, so they are never the minimum, never closer and never tied,
+    and their `parent` is final. Returns (lo, hi, weight), one per step.
     """
     values = d.values
     n = values.shape[0]
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
+    both = np.concatenate((ei, ej))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both, minlength=n), out=ptr[1:])
+    nbr = np.concatenate((ej, ei))[np.argsort(both, kind="stable")]
     best = values[0].copy()
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
@@ -105,24 +105,22 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
     at_lowest = np.empty(n, dtype=bool)
     closer = np.empty(n, dtype=bool)
     tied = np.empty(n, dtype=bool)
-    edges = []
-    for _ in range(n - 1):
+    added = np.empty(n - 1, dtype=np.int64)
+    for step in range(n - 1):
         lowest = np.fmin.reduce(best)
         if lowest == np.inf:
             raise DisconnectedError("graph is disconnected under the current edge exclusions")
         np.equal(best, lowest, out=at_lowest)
         cand = at_lowest.nonzero()[0]
         if cand.size == 1:
-            vertex = int(cand[0])
+            vertex = cand[0]
         else:
             # candidates are distinct frontier nodes with tree parents, so
             # their pairs, and hence their ranks, are distinct
             ends = parent[cand]
             ranks = _pair_rank(n, np.minimum(ends, cand), np.maximum(ends, cand))
-            vertex = int(cand[ranks.argmin()])
-        u = int(parent[vertex])
-        i, j = (u, vertex) if u < vertex else (vertex, u)
-        edges.append((i, j, float(values[u, vertex])))
+            vertex = cand[ranks.argmin()]
+        added[step] = vertex
         best[vertex] = np.nan
         row = values[vertex]
         np.less(row, best, out=closer)
@@ -138,7 +136,8 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
             ends = np.stack((np.full(ties.size, vertex), parent[ties]))
             ranks = _pair_rank(n, np.minimum(ends, ties), np.maximum(ends, ties))
             parent[ties[ranks[0] < ranks[1]]] = vertex
-    return edges
+    ends = parent[added]
+    return np.minimum(ends, added), np.maximum(ends, added), values[ends, added]
 
 
 def mst(d: DistanceMatrix, excluded=()):
@@ -156,7 +155,8 @@ def mst(d: DistanceMatrix, excluded=()):
     for pair in pairs:
         if not (0 <= pair[0] < n and 0 <= pair[1] < n):
             raise InvalidEdge(f"excluded edge {pair} has a node outside 0..{n - 1}")
-    return _prim(d, *_exclusions(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)))
+    lo, hi, weight = _prim(d, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    return list(zip(lo.tolist(), hi.tolist(), weight.tolist()))
 
 
 def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
@@ -168,19 +168,19 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidK(f"tree multiplicity k must be a positive integer, got {k!r}")
     n = d.n_points
-    used = np.empty((0, 2), dtype=np.int64)
-    all_edges = []
+    ei = ej = np.empty(0, dtype=np.int64)
+    weights = []
     for layer in range(1, k + 1):
         try:
-            layer_edges = _prim(d, *_exclusions(n, used))
+            lo, hi, w = _prim(d, ei, ej)
         except DisconnectedError as exc:
             raise DisconnectedError(
                 f"layer {layer} of {k} cannot be completed: {exc}", layer=layer
             ) from None
-        all_edges.extend((i, j, weight, layer) for i, j, weight in layer_edges)
-        used = np.concatenate((used, np.array([e[:2] for e in layer_edges], dtype=np.int64)))
-    degrees = np.bincount(used.ravel(), minlength=n)
-    return SpanningGraph(edges=tuple(all_edges), n_nodes=n, k=int(k), degrees=degrees)
+        ei, ej = np.concatenate((ei, lo)), np.concatenate((ej, hi))
+        weights.append(w)
+    layers = np.repeat(np.arange(1, k + 1), n - 1)
+    return SpanningGraph(ei, ej, np.concatenate(weights), layers, n_nodes=n, k=int(k))
 
 
 def degree_statistic(g: SpanningGraph) -> float:

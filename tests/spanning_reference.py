@@ -8,10 +8,11 @@ the production kernel with it edge for edge; nothing in the library
 imports it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ecdkit.errors import DisconnectedError, InvalidK, SizeMismatch
-from ecdkit.spanning import SpanningGraph
 
 
 def _pair_rank(n_nodes, lo, hi):
@@ -96,4 +97,4 @@ def reference_kmst(d, k):
     for i, j, _, _ in all_edges:
         degrees[i] += 1
         degrees[j] += 1
-    return SpanningGraph(edges=tuple(all_edges), n_nodes=n, k=int(k), degrees=degrees)
+    return SimpleNamespace(edges=tuple(all_edges), n_nodes=n, k=int(k), degrees=degrees)

@@ -15,6 +15,7 @@ from ecdkit import (
     PooledLabels,
     SingularCovariance,
     SizeMismatch,
+    SpanningGraph,
     TooFewPoints,
     degree_statistic,
     ecd,
@@ -94,6 +95,20 @@ class TestWorkedInstance:
         assert ecd_statistic(counts, centered) == 0.0
 
 
+def test_scoring_reads_no_edge_tuples(monkeypatch):
+    def refuse(_graph):
+        raise AssertionError("scoring built the per-edge tuple view")
+
+    monkeypatch.setattr(SpanningGraph, "edges", property(refuse))
+    rng = np.random.default_rng(8)
+    a = FeatureSet(rng.standard_normal((40, 3)))
+    b = FeatureSet(rng.standard_normal((30, 3)))
+    rep = ecd(a, b, k=3)
+    d = pairwise_distances(a, b)
+    assert ecd_from_distances(d, PooledLabels(40, 30), k=3).to_json_dict() == rep.to_json_dict()
+    ecd_subsampled(a, b, k=3, rounds=2, seed=1)
+
+
 class TestEdgeCounts:
     def test_k4_counts(self):
         a = FeatureSet(np.array([0.0, 1.0]))
@@ -121,8 +136,9 @@ class TestNullMoments:
         # constant under relabeling and the covariance collapses
         a = FeatureSet(np.array([0.0, 1.0]))
         b = FeatureSet(np.array([2.0, 3.0]))
-        with pytest.raises(SingularCovariance):
+        with pytest.raises(SingularCovariance, match="3-regular") as exc:
             ecd(a, b, k=2)
+        assert exc.value.determinant == 0.0
 
     def test_too_few_points(self):
         pts = FeatureSet(np.array([0.0, 1.0, 2.0]))

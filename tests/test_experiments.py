@@ -20,7 +20,13 @@ from ecdkit import (
     sample,
     variance_sweep,
 )
-from ecdkit.experiments import GRID_PAIRS, UNIFORM_HALF_WIDTH, default_sweep_variances
+from ecdkit import metricspace
+from ecdkit.experiments import (
+    GRID_PAIRS,
+    UNIFORM_HALF_WIDTH,
+    _sweep_cell,
+    default_sweep_variances,
+)
 
 
 class TestDistributionSpec:
@@ -178,6 +184,23 @@ class TestVarianceSweep:
         for name, want in expected.items():
             got = tiny_sweep.values(name, dim=dim, variance_a=var)
             assert got == [want]
+
+    def test_cell_computes_distances_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(metricspace, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("pdist", "cdist"):
+            monkeypatch.setattr(metricspace, name, counted(name))
+        rows = _sweep_cell((5, 3, 1.3, 30, 2))
+        assert calls == ["pdist"]
+        assert [r.measure_name for r in rows] == ["ECD", "COV", "MMD"]
 
     def test_default_variance_ladder(self):
         ladder = default_sweep_variances()

@@ -75,7 +75,9 @@ def mirrored_cdist(a, b, metric):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
-@pytest.mark.parametrize("n, m, dim", [(15, 11, 4), (8, 9, 1), (100, 77, 32), (3, 2, 300)])
+@pytest.mark.parametrize(
+    "n, m, dim", [(15, 11, 4), (8, 9, 1), (100, 77, 32), (3, 2, 300), (500, 500, 1000)]
+)
 def test_pairwise_distances_bitwise_gate(metric, n, m, dim):
     rng = np.random.default_rng(n * m + dim)
     a = FeatureSet(rng.standard_normal((n, dim)))

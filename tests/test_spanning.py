@@ -324,6 +324,39 @@ class TestMatchesReference:
         assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
 
 
+class TestArrayContract:
+    """The stored endpoint arrays and the views derived from them."""
+
+    N, K = 30, 4
+
+    def graph(self):
+        d = pooled_matrix("ternary", self.N, 3, seed=4)
+        return d, kmst(d, self.K)
+
+    def test_dtypes_and_orientation(self):
+        d, g = self.graph()
+        assert g.ei.dtype == g.ej.dtype == g.layer.dtype == np.int64
+        assert g.weight.dtype == np.float64
+        assert (g.ei < g.ej).all()
+        assert g.weight.tobytes() == d.values[g.ei, g.ej].tobytes()
+
+    def test_layers_are_k_blocks_of_n_minus_1(self):
+        _, g = self.graph()
+        assert g.n_edges == self.K * (self.N - 1)
+        blocks = g.layer.reshape(self.K, self.N - 1)
+        assert (blocks == np.arange(1, self.K + 1)[:, None]).all()
+
+    def test_edges_and_degrees_are_views_of_the_arrays(self):
+        _, g = self.graph()
+        assert g.edges == tuple(
+            (int(i), int(j), float(w), int(lay))
+            for i, j, w, lay in zip(g.ei, g.ej, g.weight, g.layer)
+        )
+        assert all(type(v) is int for e in g.edges for v in (e[0], e[1], e[3]))
+        assert np.array_equal(g.degrees, np.bincount(np.stack((g.ei, g.ej)).ravel(),
+                                                     minlength=self.N))
+
+
 def test_kmst_holds_no_matrix_copy():
     n = 1200
     d = pooled_matrix("gaussian", n, 8, seed=1)
