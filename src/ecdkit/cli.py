@@ -14,7 +14,8 @@ import dataclasses
 import json
 import sys
 
-from .ecd import DEFAULT_ROUNDS, _distance_pool, _feature_pool, _score, _subsample
+from .ecd import (DEFAULT_ROUNDS, ecd, ecd_from_distances, ecd_subsampled,
+                  ecd_subsampled_from_distances)
 from .errors import InputError, InvalidSpec, NumericError, SizeMismatch
 from .experiments import (
     DEFAULT_GRID_DIM,
@@ -85,27 +86,30 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
 
 def cmd_ecd(args) -> int:
     seed = _checked_seed(args.seed)
-    if _input_mode(args) == "features":
+    features = _input_mode(args) == "features"
+    if features:
         a = load_feature_csv(args.set_a)
         b = load_feature_csv(args.set_b)
         n, m = a.n_points, b.n_points
-        pooled = _feature_pool(a, b, args.metric.replace("-", "_"))
+        metric = args.metric.replace("-", "_")
     else:
         d = load_distance_csv(args.distances)
         labels = _split_labels(d, args.split)
         n, m = labels.n, labels.m
-        pooled = _distance_pool(d, labels)
     if args.rounds is not None or n > m:
         rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
         if seed is None:
             raise InvalidSpec("subsampling draws random subsets; provide --seed")
-        rep, g = _subsample(pooled, n, m, args.k, rounds, seed)
+        if features:
+            rep = ecd_subsampled(a, b, args.k, rounds, seed, metric)
+        else:
+            rep = ecd_subsampled_from_distances(d, labels, args.k, rounds, seed)
     else:
-        rep, g = _score(pooled(None), PooledLabels(n=n, m=m), args.k)
+        rep = ecd(a, b, args.k, metric) if features else ecd_from_distances(d, labels, args.k)
         if seed is not None:
             rep = dataclasses.replace(rep, seed=seed)
     if args.dump_graph:
-        _dump_graph_csv(g, args.dump_graph)
+        _dump_graph_csv(rep.graph, args.dump_graph)
     _write_json(rep.to_json_dict(), args.out)
     return 0
 

@@ -24,12 +24,13 @@ on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     GeneratedSetTooSmall,
+    InvalidSpec,
     InvalidTrials,
     SingularCovariance,
     SizeMismatch,
@@ -83,8 +84,12 @@ class NullMoments:
 class EcdReport:
     """Statistic plus every intermediate needed to recompute it.
 
-    For subsampled runs (subsample_rounds > 1) the statistic is the mean
-    over rounds and counts/moments describe the first round only.
+    `graph` is the k-MST the counts and moments were taken from; it is
+    left out of equality, repr and JSON. For subsampled runs
+    (subsample_rounds > 1) the statistic is the mean over rounds while
+    graph, counts and moments describe the first round only, so
+    recomputed_statistic() differs from it (5.495 reported against
+    1.608 recomputed on one 900-vs-600 run).
     """
 
     statistic: float
@@ -95,8 +100,11 @@ class EcdReport:
     m: int
     seed: int | None = None
     subsample_rounds: int | None = None
+    graph: SpanningGraph | None = field(default=None, repr=False, compare=False)
 
     def recomputed_statistic(self) -> float:
+        """Statistic of the stored counts and moments. On a subsampled
+        report that is round 0's statistic, not the reported mean."""
         return ecd_statistic(self.counts, self.moments)
 
     def to_json_dict(self) -> dict:
@@ -189,8 +197,11 @@ def _check_cover(d: DistanceMatrix, labels: PooledLabels) -> None:
         )
 
 
-def _score(d: DistanceMatrix, labels: PooledLabels, k: int):
-    """(report, k-MST) for a pooled distance matrix whose first n rows are set one."""
+def ecd_from_distances(
+    d: DistanceMatrix, labels: PooledLabels, k: int = DEFAULT_K
+) -> EcdReport:
+    """Statistic from a pooled distance matrix whose first n rows are set
+    one; the report carries the k-MST it scored."""
     _check_cover(d, labels)
     g = kmst(d, k)
     counts = edge_counts(g, labels)
@@ -207,18 +218,10 @@ def _score(d: DistanceMatrix, labels: PooledLabels, k: int):
             f"{exc}: the k-MST is {deg[0]}-regular, so R1 - R2 is fixed at {deg[0]}(n - m)/2",
             determinant=exc.determinant,
         ) from None
-    report = EcdReport(
+    return EcdReport(
         statistic=stat, counts=counts, moments=moments,
-        k=int(k), n=labels.n, m=labels.m,
+        k=int(k), n=labels.n, m=labels.m, graph=g,
     )
-    return report, g
-
-
-def ecd_from_distances(
-    d: DistanceMatrix, labels: PooledLabels, k: int = DEFAULT_K
-) -> EcdReport:
-    """Statistic from a pooled distance matrix whose first n rows are set one."""
-    return _score(d, labels, k)[0]
 
 
 def ecd(
@@ -231,6 +234,18 @@ def ecd(
 
 
 # --- permutation oracles ----------------------------------------------------
+
+def _stream(seed, index: int) -> np.random.Generator:
+    """PCG64 generator seeded by the pair (seed, index): the one random
+    stream behind permutation trials and subsample rounds."""
+    try:
+        entropy = np.random.SeedSequence([seed, index])
+    except (TypeError, ValueError):
+        raise InvalidSpec(
+            f"seed and stream index must be non-negative integers, got ({seed!r}, {index!r})"
+        ) from None
+    return np.random.Generator(np.random.PCG64(entropy))
+
 
 def permutation_samples(
     g: SpanningGraph, n: int, m: int, trials: int, seed: int
@@ -246,8 +261,7 @@ def permutation_samples(
         raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {n + m}")
     out = np.empty((trials, 2), dtype=np.float64)
     for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        perm = rng.permutation(n + m)
+        perm = _stream(seed, t).permutation(n + m)
         in_first = np.zeros(n + m, dtype=bool)
         in_first[perm[:n]] = True
         out[t] = _within_counts(g.ei, g.ej, in_first)
@@ -300,8 +314,7 @@ def subsample_round_indices(seed: int, round_index: int, pool: int, take: int) -
     Round r draws from a PCG64 generator seeded by the pair (seed, r), so
     any round can be reconstructed in isolation.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, round_index])))
-    idx = rng.permutation(pool)[:take]
+    idx = _stream(seed, round_index).permutation(pool)[:take]
     idx.sort()
     return idx
 
@@ -311,13 +324,13 @@ def _check_rounds(rounds: int) -> None:
         raise InvalidTrials(f"need at least 1 subsample round, got {rounds}")
 
 
-def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int):
-    """(report, round-0 k-MST) averaged over size-m subsets of the first set.
+def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> EcdReport:
+    """Report averaged over size-m subsets of the first set.
 
     `pooled(idx)` returns the pooled distance matrix of first-set rows idx
     followed by all m rows of the second set. Round r draws idx from a
     generator seeded by (seed, r); the report keeps the first round's
-    counts and moments and the mean statistic across rounds.
+    graph, counts and moments and the mean statistic across rounds.
     """
     _check_rounds(rounds)
     if n_large < m:
@@ -331,36 +344,11 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int):
         if r == 0 or n_large > m:
             d = pooled(subsample_round_indices(seed, r, n_large, m))
             # labels after the matrix: a dimension mismatch is reported first
-            rep, g = _score(d, PooledLabels(n=m, m=m), k)
+            rep = ecd_from_distances(d, PooledLabels(n=m, m=m), k)
         if r == 0:
-            first, first_graph = rep, g
+            first = rep
         total += rep.statistic
-    report = replace(
-        first, statistic=total / rounds, seed=int(seed), subsample_rounds=int(rounds)
-    )
-    return report, first_graph
-
-
-def _feature_pool(a: FeatureSet, b: FeatureSet, metric: str):
-    """`pooled(idx)` over feature sets: rows idx of a (all of a when idx is
-    None) then all of b. Distances are computed per call, so an oversized
-    first set is never pooled whole."""
-    def pooled(idx=None):
-        return pairwise_distances(a if idx is None else FeatureSet(a.points[idx]), b, metric)
-    return pooled
-
-
-def _distance_pool(d: DistanceMatrix, labels: PooledLabels):
-    """`pooled(idx)` over a pooled matrix: first-set rows idx (all of them
-    when idx is None) then the labels.m second-set rows."""
-    b_rows = np.arange(labels.n, labels.n_total)
-
-    def pooled(idx=None):
-        if idx is None:
-            return d
-        keep = np.concatenate([idx, b_rows])
-        return DistanceMatrix(d.values[np.ix_(keep, keep)])
-    return pooled
+    return replace(first, statistic=total / rounds, seed=int(seed), subsample_rounds=int(rounds))
 
 
 def ecd_subsampled(
@@ -375,11 +363,14 @@ def ecd_subsampled(
 
     Evens out the size advantage a larger generated set would otherwise
     have. Round r draws its subset from a generator seeded by (seed, r);
-    the report keeps the first round's counts and moments and the mean
-    statistic across rounds.
+    the report keeps the first round's graph, counts and moments and the
+    mean statistic across rounds. Distances are computed per round, so an
+    oversized first set is never pooled whole.
     """
-    pooled = _feature_pool(a_large, b, metric)
-    return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)[0]
+    def pooled(idx):
+        return pairwise_distances(FeatureSet(a_large.points[idx]), b, metric)
+
+    return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)
 
 
 def ecd_subsampled_from_distances(
@@ -397,5 +388,10 @@ def ecd_subsampled_from_distances(
     """
     _check_rounds(rounds)  # a bad round count is reported before a bad split
     _check_cover(d, labels)
-    pooled = _distance_pool(d, labels)
-    return _subsample(pooled, labels.n, labels.m, k, rounds, seed)[0]
+    b_rows = np.arange(labels.n, labels.n_total)
+
+    def pooled(idx):
+        keep = np.concatenate([idx, b_rows])
+        return DistanceMatrix(d.values[np.ix_(keep, keep)])
+
+    return _subsample(pooled, labels.n, labels.m, k, rounds, seed)

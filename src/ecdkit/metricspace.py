@@ -146,6 +146,11 @@ def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> 
     return cdist(a.points, b.points, metric=name)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0.0:  # also rejects NaN
+        raise InvalidSpec(f"tolerance must be nonnegative, got {tolerance!r}")
+
+
 def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
     """Ingest a raw square matrix as a DistanceMatrix.
 
@@ -153,8 +158,11 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     entries all stay within `tolerance`; the stored result is the exact
     symmetrization ``(raw + raw.T) / 2`` with the diagonal forced to zero
     and residual negatives clamped to zero. Violations beyond the
-    tolerance raise the matching error instead of being repaired.
+    tolerance raise the matching error instead of being repaired. A NaN
+    or negative tolerance raises InvalidSpec; ``inf`` accepts any finite
+    matrix.
     """
+    _check_tolerance(tolerance)
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
@@ -217,4 +225,5 @@ def load_feature_csv(path) -> FeatureSet:
 
 def load_distance_csv(path, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
     """Read an N x N distance matrix CSV (no header) and validate it."""
+    _check_tolerance(tolerance)  # before the file is parsed
     return validate_distance_matrix(_read_csv(path, header=False), tolerance)

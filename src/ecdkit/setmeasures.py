@@ -85,14 +85,20 @@ def coverage_from_cross(cross) -> float:
     Rows are the covering set, columns the covered one. Argmin ties go to
     the smallest column index, so the result is order-deterministic.
     """
-    c = _validated_cross(cross)
-    marked = np.unique(np.argmin(c, axis=1))
-    return float(marked.size) / c.shape[1]
+    return _coverage(_validated_cross(cross))
 
 
 def mmd_from_cross(cross) -> float:
     """Mean over columns of the distance to their nearest row."""
-    c = _validated_cross(cross)
+    return _mmd(_validated_cross(cross))
+
+
+def _coverage(c: np.ndarray) -> float:
+    marked = np.unique(np.argmin(c, axis=1))
+    return float(marked.size) / c.shape[1]
+
+
+def _mmd(c: np.ndarray) -> float:
     return float(np.mean(np.min(c, axis=0)))
 
 
@@ -148,6 +154,4 @@ def measures_from_cross(cross) -> MeasureResult:
     """Coverage and matching distance from a precomputed cross block;
     the Fréchet slot stays empty."""
     c = _validated_cross(cross)
-    return MeasureResult(
-        coverage=coverage_from_cross(c), mmd=mmd_from_cross(c), frechet=None
-    )
+    return MeasureResult(coverage=_coverage(c), mmd=_mmd(c), frechet=None)

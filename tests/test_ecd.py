@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ecdkit import (
     DistanceMatrix,
     FeatureSet,
     GeneratedSetTooSmall,
+    InvalidSpec,
     InvalidTrials,
     PooledLabels,
     SingularCovariance,
@@ -215,6 +217,29 @@ class TestPermutationOracle:
         with pytest.raises(InvalidTrials):
             permutation_moments(g, n, m, trials=1, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_invalid_seed_is_typed(self, seed):
+        g, n, m = random_graph(9)
+        with pytest.raises(InvalidSpec):
+            permutation_samples(g, n, m, trials=3, seed=seed)
+        with pytest.raises(InvalidSpec):
+            permutation_moments(g, n, m, trials=3, seed=seed)
+        # the trial count is still checked first
+        with pytest.raises(InvalidTrials):
+            permutation_samples(g, n, m, trials=0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, True, np.uint64(2**64 - 1), 2**70])
+    def test_accepted_seeds_keep_their_stream(self, seed):
+        g, n, m = random_graph(10)
+        want = np.empty((5, 2))
+        for t in range(5):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+            in_first = np.zeros(n + m, dtype=bool)
+            in_first[rng.permutation(n + m)[:n]] = True
+            want[t] = (np.sum(in_first[g.ei] & in_first[g.ej]),
+                       np.sum(~in_first[g.ei] & ~in_first[g.ej]))
+        assert np.array_equal(permutation_samples(g, n, m, trials=5, seed=seed), want)
+
     def test_monte_carlo_matches_analytic(self):
         a, b = two_pair_sets()
         g = kmst(pairwise_distances(a, b), k=1)
@@ -408,3 +433,79 @@ class TestSubsampling:
         # a bad round count is reported ahead of an undersized first set
         with pytest.raises(InvalidTrials):
             subsample(FeatureSet(a.points[:5]), b, k=1, rounds=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
+    def test_invalid_seed_is_typed(self, subsample, seed):
+        rng = np.random.default_rng(307)
+        a = FeatureSet(rng.standard_normal((10, 2)))
+        b = FeatureSet(rng.standard_normal((6, 2)))
+        with pytest.raises(InvalidSpec):
+            subsample(a, b, k=1, rounds=2, seed=seed)
+        with pytest.raises(InvalidSpec):
+            subsample_round_indices(seed, 0, 10, 6)
+        # round count and set sizes are still checked first
+        with pytest.raises(InvalidTrials):
+            subsample(a, b, k=1, rounds=0, seed=seed)
+        with pytest.raises(GeneratedSetTooSmall):
+            subsample(b, a, k=1, rounds=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, True, np.uint64(2**64 - 1), 2**70])
+    def test_accepted_seeds_keep_their_stream(self, seed):
+        for r in range(3):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
+            want = np.sort(rng.permutation(30)[:12])
+            assert np.array_equal(subsample_round_indices(seed, r, 30, 12), want)
+
+
+def _plain_features(a, b, k):
+    return ecd(a, b, k=k)
+
+
+def _plain_distances(a, b, k):
+    return ecd_from_distances(pairwise_distances(a, b), PooledLabels(a.n_points, b.n_points), k=k)
+
+
+def _subsampled_features(a, b, k):
+    return ecd_subsampled(a, b, k=k, rounds=3, seed=13)
+
+
+def _subsampled_distances(a, b, k):
+    return subsample_distances(a, b, k=k, rounds=3, seed=13)
+
+
+class TestReportGraph:
+    """Every report carries the k-MST its counts and moments came from."""
+
+    @pytest.mark.parametrize("score, subsampled", [
+        pytest.param(_plain_features, False, id="ecd"),
+        pytest.param(_plain_distances, False, id="ecd_from_distances"),
+        pytest.param(_subsampled_features, True, id="ecd_subsampled"),
+        pytest.param(_subsampled_distances, True, id="ecd_subsampled_from_distances"),
+    ])
+    def test_graph_is_the_scored_graph(self, score, subsampled):
+        rng = np.random.default_rng(401)
+        big = rng.standard_normal((18 if subsampled else 12, 3))
+        small = rng.standard_normal((10, 3))
+        k = 3
+        rep = score(FeatureSet(big), FeatureSet(small), k)
+        g = rep.graph
+        assert isinstance(g, SpanningGraph)
+        assert g.k == rep.k == k
+        assert edge_counts(g, PooledLabels(rep.n, rep.m)) == rep.counts
+        mom = null_moments(g, rep.n, rep.m)
+        assert (mom.mu1, mom.mu2, mom.c, mom.n_edges) == (
+            rep.moments.mu1, rep.moments.mu2, rep.moments.c, rep.moments.n_edges)
+        assert mom.sigma.tobytes() == rep.moments.sigma.tobytes()
+
+        # round 0 keeps first-set rows idx and every second-set row
+        idx = subsample_round_indices(13, 0, len(big), len(small)) if subsampled else slice(None)
+        want = kmst(pairwise_distances(FeatureSet(big[idx]), FeatureSet(small)), k)
+        for name in ("ei", "ej", "weight", "layer"):
+            assert getattr(g, name).tobytes() == getattr(want, name).tobytes()
+        assert g.n_nodes == want.n_nodes
+
+        payload = rep.to_json_dict()
+        assert "graph" not in payload
+        assert "graph" not in repr(rep)
+        assert replace(rep, graph=None) == rep

@@ -178,6 +178,23 @@ def test_validate_distance_matrix_rejects_gross_violations():
         validate_distance_matrix(np.array([[0.0, -0.5], [-0.5, 0.0]]))
 
 
+def test_validate_distance_matrix_checks_tolerance(tmp_path):
+    asym = np.array([[0.0, 1.0, 5.0], [3.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
+    for bad in (np.nan, -1e-9):
+        with pytest.raises(InvalidSpec):
+            validate_distance_matrix(asym, tolerance=bad)
+        # the tolerance is rejected even for an exactly symmetric matrix
+        with pytest.raises(InvalidSpec):
+            validate_distance_matrix(np.zeros((3, 3)), tolerance=bad)
+        # before the file is read: a missing file is not reached
+        with pytest.raises(InvalidSpec):
+            load_distance_csv(tmp_path / "missing.csv", tolerance=bad)
+    # inf accepts any finite matrix and averages it
+    d = validate_distance_matrix(asym, tolerance=np.inf)
+    assert np.array_equal(d.values, [[0.0, 2.0, 7.0], [2.0, 0.0, 1.0], [7.0, 1.0, 0.0]])
+    assert np.array_equal(validate_distance_matrix(d.values, tolerance=0.0).values, d.values)
+
+
 def test_pooled_labels():
     labels = PooledLabels(3, 4)
     assert labels.split_index == 3

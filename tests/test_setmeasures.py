@@ -1,5 +1,7 @@
 """Coverage, matching distance, and the Gaussian Fréchet score."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,24 @@ class TestBundles:
         assert result.frechet is None
         assert result.coverage == coverage_from_cross(cross)
         assert result.mmd == mmd_from_cross(cross)
+
+    def test_cross_bundle_validates_once(self, monkeypatch):
+        module = importlib.import_module("ecdkit.setmeasures")
+        real = module._validated_cross
+        calls = []
+
+        def counting(raw):
+            calls.append(1)
+            return real(raw)
+
+        monkeypatch.setattr(module, "_validated_cross", counting)
+        cross = np.abs(np.random.default_rng(53).standard_normal((6, 4)))
+        result = measures_from_cross(cross)
+        assert len(calls) == 1
+        assert result.coverage == coverage_from_cross(cross)
+        assert result.mmd == mmd_from_cross(cross)
+        # the single measures still validate their own input
+        assert len(calls) == 3
 
     def test_cross_orientation(self):
         # rows scan the first set, columns the second: row count must not
