@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from .ecd import (DEFAULT_ROUNDS, ecd, ecd_from_distances, ecd_subsampled,
+from .ecd import (DEFAULT_ROUNDS, _seed, ecd, ecd_from_distances, ecd_subsampled,
                   ecd_subsampled_from_distances)
 from .errors import InputError, InvalidSpec, NumericError, SizeMismatch
 from .experiments import (
@@ -30,17 +30,6 @@ from .metricspace import DistanceMatrix, PooledLabels, load_distance_csv, load_f
 from .plotting import plot_table
 from .setmeasures import measures_from_cross, measures_from_features
 from .spanning import DEFAULT_K, SpanningGraph
-
-MAX_SEED = 2**64 - 1
-
-
-def _checked_seed(seed):
-    if seed is None:
-        return None
-    if not 0 <= seed <= MAX_SEED:
-        raise InvalidSpec(f"seed must fit in unsigned 64 bits, got {seed}")
-    return int(seed)
-
 
 def _input_mode(args) -> str:
     feature = args.set_a is not None or args.set_b is not None
@@ -85,7 +74,6 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
 
 
 def cmd_ecd(args) -> int:
-    seed = _checked_seed(args.seed)
     features = _input_mode(args) == "features"
     if features:
         a = load_feature_csv(args.set_a)
@@ -98,16 +86,17 @@ def cmd_ecd(args) -> int:
         n, m = labels.n, labels.m
     if args.rounds is not None or n > m:
         rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
-        if seed is None:
+        if args.seed is None:
             raise InvalidSpec("subsampling draws random subsets; provide --seed")
         if features:
-            rep = ecd_subsampled(a, b, args.k, rounds, seed, metric)
+            rep = ecd_subsampled(a, b, args.k, rounds, args.seed, metric)
         else:
-            rep = ecd_subsampled_from_distances(d, labels, args.k, rounds, seed)
+            rep = ecd_subsampled_from_distances(d, labels, args.k, rounds, args.seed)
     else:
+        # no library call checks a seed that is only recorded: check it before scoring
+        seed = args.seed if args.seed is None else _seed(args.seed)
         rep = ecd(a, b, args.k, metric) if features else ecd_from_distances(d, labels, args.k)
-        if seed is not None:
-            rep = dataclasses.replace(rep, seed=seed)
+        rep = dataclasses.replace(rep, seed=seed)
     if args.dump_graph:
         _dump_graph_csv(rep.graph, args.dump_graph)
     _write_json(rep.to_json_dict(), args.out)
@@ -136,7 +125,7 @@ def cmd_measures(args) -> int:
 def cmd_sweep(args) -> int:
     table = variance_sweep(
         dims=args.dims, n=args.n, k=args.k,
-        seed=_checked_seed(args.seed), workers=args.workers,
+        seed=args.seed, workers=args.workers,
     )
     table.to_csv(args.out)
     print(f"wrote {len(table)} rows to {args.out}", file=sys.stderr)
@@ -146,7 +135,7 @@ def cmd_sweep(args) -> int:
 def cmd_grid(args) -> int:
     table = distribution_grid(
         dim=args.dim, n=args.n, k=args.k,
-        seed=_checked_seed(args.seed), workers=args.workers,
+        seed=args.seed, workers=args.workers,
     )
     table.to_csv(args.out)
     print(f"wrote {len(table)} rows to {args.out}", file=sys.stderr)
@@ -193,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--k", type=int, default=DEFAULT_K, help="tree multiplicity")
     pe.add_argument("--metric", choices=["euclidean", "squared-euclidean"],
                     default="euclidean", help="feature-mode distance")
-    pe.add_argument("--seed", type=int, help="64-bit seed for subsampling")
+    pe.add_argument("--seed", type=int, help="seed for subsampling: a non-negative integer")
     pe.add_argument("--rounds", type=int,
                     help="subsample rounds (default 10 when the first set is larger)")
     pe.add_argument("--dump-graph", dest="dump_graph", metavar="CSV",

@@ -24,6 +24,7 @@ on small instances.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -233,18 +234,29 @@ def ecd(
     return ecd_from_distances(d, labels, k)
 
 
-# --- permutation oracles ----------------------------------------------------
+# --- seeds, random streams and permutation oracles --------------------------
 
-def _stream(seed, index: int) -> np.random.Generator:
-    """PCG64 generator seeded by the pair (seed, index): the one random
-    stream behind permutation trials and subsample rounds."""
+def _integer(value, name: str) -> int:
+    """value as an int by operator.index; anything else raises InvalidSpec."""
     try:
-        entropy = np.random.SeedSequence([seed, index])
-    except (TypeError, ValueError):
-        raise InvalidSpec(
-            f"seed and stream index must be non-negative integers, got ({seed!r}, {index!r})"
-        ) from None
-    return np.random.Generator(np.random.PCG64(entropy))
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
+def _seed(value) -> int:
+    """The one seed rule: a non-negative integer by operator.index, else InvalidSpec."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be non-negative, got {value!r}")
+    return seed
+
+
+def _stream(*entropy) -> np.random.Generator:
+    """PCG64 generator seeded by SeedSequence(entropy), each word a seed: the
+    one stream behind sampling, permutation trials and subsample rounds."""
+    words = [_seed(w) for w in entropy]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def permutation_samples(
@@ -331,12 +343,13 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> 
     followed by all m rows of the second set. Round r draws idx from a
     generator seeded by (seed, r); the report keeps the first round's
     graph, counts and moments and the mean statistic across rounds.
+    Callers check the round count first.
     """
-    _check_rounds(rounds)
     if n_large < m:
         raise GeneratedSetTooSmall(
             f"first set has {n_large} points, cannot subsample to {m}"
         )
+    seed = _seed(seed)
     total = 0.0
     for r in range(rounds):
         # with equal sizes every round draws the whole first set, so the
@@ -348,7 +361,7 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> 
         if r == 0:
             first = rep
         total += rep.statistic
-    return replace(first, statistic=total / rounds, seed=int(seed), subsample_rounds=int(rounds))
+    return replace(first, statistic=total / rounds, seed=seed, subsample_rounds=int(rounds))
 
 
 def ecd_subsampled(
@@ -370,6 +383,7 @@ def ecd_subsampled(
     def pooled(idx):
         return pairwise_distances(FeatureSet(a_large.points[idx]), b, metric)
 
+    _check_rounds(rounds)
     return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)
 
 

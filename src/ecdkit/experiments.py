@@ -1,7 +1,8 @@
 """Synthetic study runners: the Gaussian variance sweep and the
 zero-mean/unit-variance distribution grid.
 
-Every random draw is tied to an explicit 64-bit base seed. Each cell of
+Every random draw is tied to an explicit base seed, a non-negative
+integer by operator.index like every seed in ecdkit. Each cell of
 an experiment derives its own sub-seed by hashing the base seed together
 with the cell coordinates (experiment id, dim, variance, kind pair,
 role), so cells are statistically decoupled, reproducible in isolation,
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecd import ecd, ecd_from_distances
+from .ecd import _integer, _seed, _stream, ecd, ecd_from_distances
 from .errors import InvalidSpec, NonFiniteInput, SchemaError
 from .metricspace import FeatureSet, PooledLabels, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
@@ -64,13 +65,14 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
-        if int(self.dim) < 1:
-            raise InvalidSpec(f"dim must be at least 1, got {self.dim}")
+        dim = _integer(self.dim, "dim")
+        if dim < 1:
+            raise InvalidSpec(f"dim must be at least 1, got {dim}")
         if not (float(self.variance) > 0.0):
             raise InvalidSpec(f"variance must be positive, got {self.variance}")
         if self.kind != "gaussian" and float(self.variance) != 1.0:
             raise InvalidSpec(f"{self.kind} distribution is fixed at unit variance")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "variance", float(self.variance))
 
 
@@ -82,7 +84,7 @@ def sample(spec: DistributionSpec, count: int, seed: int) -> FeatureSet:
     """
     if count < 1:
         raise InvalidSpec(f"sample count must be at least 1, got {count}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
     shape = (count, spec.dim)
     if spec.kind == "gaussian":
         pts = rng.standard_normal(shape) * np.sqrt(spec.variance)
@@ -100,7 +102,7 @@ def derive_seed(base_seed: int, *parts) -> int:
     across platforms and numpy versions. Floats are rendered via repr
     (shortest round-trip form).
     """
-    fields = [str(int(base_seed))]
+    fields = [str(_seed(base_seed))]
     for p in parts:
         if isinstance(p, float):
             fields.append(repr(p))
@@ -267,12 +269,13 @@ def variance_sweep(
 
     The second set is always unit-variance gaussian of the same dim.
     """
+    n, k, seed = _integer(n, "n"), _integer(k, "k"), _seed(seed)
     if n < 4:
         raise InvalidSpec(f"sweep needs n >= 4 per set, got {n}")
     if variances is None:
         variances = default_sweep_variances()
     configs = [
-        (int(seed), int(dim), float(var), int(n), int(k))
+        (seed, _integer(dim, "dim"), float(var), n, k)
         for dim in dims for var in variances
     ]
     return ExperimentTable(rows=_run_cells(_sweep_cell, configs, workers))
@@ -286,10 +289,8 @@ def distribution_grid(
     workers: int | None = None,
 ) -> ExperimentTable:
     """ECD and FID over the six unordered pairs of the three unit laws."""
+    dim, n, k, seed = _integer(dim, "dim"), _integer(n, "n"), _integer(k, "k"), _seed(seed)
     if n < 4:
         raise InvalidSpec(f"grid needs n >= 4 per set, got {n}")
-    configs = [
-        (int(seed), kind_a, kind_b, int(dim), int(n), int(k))
-        for kind_a, kind_b in GRID_PAIRS
-    ]
+    configs = [(seed, kind_a, kind_b, dim, n, k) for kind_a, kind_b in GRID_PAIRS]
     return ExperimentTable(rows=_run_cells(_grid_cell, configs, workers))

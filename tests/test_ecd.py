@@ -450,6 +450,23 @@ class TestSubsampling:
         with pytest.raises(GeneratedSetTooSmall):
             subsample(b, a, k=1, rounds=2, seed=seed)
 
+    @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
+    def test_round_count_checked_once(self, subsample, monkeypatch):
+        rng = np.random.default_rng(308)
+        a = FeatureSet(rng.standard_normal((10, 2)))
+        b = FeatureSet(rng.standard_normal((6, 2)))
+        ecd_module = importlib.import_module("ecdkit.ecd")
+        real_check = ecd_module._check_rounds
+        calls = []
+
+        def counting_check(rounds):
+            calls.append(rounds)
+            real_check(rounds)
+
+        monkeypatch.setattr(ecd_module, "_check_rounds", counting_check)
+        subsample(a, b, k=1, rounds=2, seed=0)
+        assert calls == [2]
+
     @pytest.mark.parametrize("seed", [0, 7, True, np.uint64(2**64 - 1), 2**70])
     def test_accepted_seeds_keep_their_stream(self, seed):
         for r in range(3):

@@ -20,7 +20,7 @@ from ecdkit import (
     sample,
     variance_sweep,
 )
-from ecdkit import metricspace
+from ecdkit import experiments, metricspace
 from ecdkit.experiments import (
     GRID_PAIRS,
     UNIFORM_HALF_WIDTH,
@@ -305,3 +305,41 @@ class TestTableSerialization:
         assert len(vals) == len(GRID_PAIRS)
         only = tiny_grid.values("FID", kind_a="binary", kind_b="binary")
         assert len(only) == 1
+
+
+class TestIntegerSizes:
+    """dim, dims, n and k are integers by operator.index, never truncated."""
+
+    @pytest.mark.parametrize("dim", [2.5, np.float64(2.0), "2"], ids=repr)
+    def test_spec_rejects_non_integer_dim(self, dim):
+        with pytest.raises(InvalidSpec):
+            DistributionSpec("gaussian", dim)
+
+    @pytest.mark.parametrize("run", [
+        lambda: variance_sweep(dims=(2.5,), variances=(1.0,), n=8, k=1, seed=0),
+        lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8.9, k=1, seed=0),
+        lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1.5, seed=0),
+        lambda: distribution_grid(dim=2.5, n=8, k=1, seed=0),
+        lambda: distribution_grid(dim=2, n=8.9, k=1, seed=0),
+        lambda: distribution_grid(dim=2, n=8, k=1.5, seed=0),
+    ], ids=["sweep-dims", "sweep-n", "sweep-k", "grid-dim", "grid-n", "grid-k"])
+    def test_runners_reject_non_integer_sizes(self, run, monkeypatch):
+        cells = []
+        for name in ("_sweep_cell", "_grid_cell"):
+            monkeypatch.setattr(experiments, name, lambda args: cells.append(args) or [])
+        with pytest.raises(InvalidSpec):
+            run()
+        assert cells == []
+
+    def test_integral_numpy_sizes_keep_working(self):
+        spec = DistributionSpec("gaussian", np.int32(3))
+        assert type(spec.dim) is int and spec.dim == 3
+        i = np.int64
+        plain = variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1, seed=3, workers=1)
+        numpy_sized = variance_sweep(
+            dims=(i(2),), variances=(1.0,), n=i(8), k=i(1), seed=i(3), workers=1
+        )
+        assert numpy_sized.rows == plain.rows
+        plain = distribution_grid(dim=2, n=8, k=1, seed=3, workers=1)
+        numpy_sized = distribution_grid(dim=i(2), n=i(8), k=i(1), seed=i(3), workers=1)
+        assert numpy_sized.rows == plain.rows
