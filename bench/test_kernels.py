@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count
-and null-moment kernels.
+"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
+null-moment and CSV-ingest kernels.
 
 Run from the repository root with
 
@@ -19,6 +19,8 @@ from ecdkit import (
     fit_gaussian,
     frechet_gaussian,
     kmst,
+    load_distance_csv,
+    load_feature_csv,
     null_moments,
     pairwise_distances,
     sample,
@@ -83,3 +85,23 @@ def test_kmst_binary_1000_dim_100(benchmark):
     d = pairwise_distances(*pooled("binary", 500, 100))
     g = benchmark.pedantic(kmst, (d, 10), rounds=5)
     assert g.n_edges == 10 * 999
+
+
+def write_csv(path, values):
+    # 17 significant digits, as descriptor pipelines that round-trip float64 write them
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    return path
+
+
+def test_load_distance_csv_2000(benchmark, tmp_path_factory):
+    values = pairwise_distances(*pooled("gaussian", 1000, 32)).values
+    path = write_csv(tmp_path_factory.mktemp("ingest") / "d.csv", values)
+    d = benchmark.pedantic(load_distance_csv, (path,), rounds=3)
+    assert np.array_equal(d.values, values)
+
+
+def test_load_feature_csv_2000_dim_100(benchmark, tmp_path_factory):
+    points = sample(DistributionSpec("gaussian", 100), 2000, 0).points
+    path = write_csv(tmp_path_factory.mktemp("ingest") / "f.csv", points)
+    fs = benchmark.pedantic(load_feature_csv, (path,), rounds=5)
+    assert np.array_equal(fs.points, points)

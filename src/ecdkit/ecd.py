@@ -267,6 +267,7 @@ def permutation_samples(
     Trial t draws its permutation from a generator seeded by the pair
     (seed, t), so any execution order yields the same rows.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidTrials(f"need at least 1 trial, got {trials}")
     if g.n_nodes != n + m:
@@ -284,6 +285,7 @@ def permutation_moments(
     g: SpanningGraph, n: int, m: int, trials: int, seed: int
 ) -> NullMoments:
     """Monte-Carlo estimate of the null moments (sample covariance, trials - 1)."""
+    trials = _integer(trials, "trials")
     if trials < 2:
         raise InvalidTrials(f"sample covariance needs at least 2 trials, got {trials}")
     return _sample_moments(g, permutation_samples(g, n, m, trials, seed), ddof=1)
@@ -326,13 +328,14 @@ def subsample_round_indices(seed: int, round_index: int, pool: int, take: int) -
     Round r draws from a PCG64 generator seeded by the pair (seed, r), so
     any round can be reconstructed in isolation.
     """
+    pool, take = _integer(pool, "pool"), _integer(take, "take")
     idx = _stream(seed, round_index).permutation(pool)[:take]
     idx.sort()
     return idx
 
 
 def _check_rounds(rounds: int) -> None:
-    if rounds < 1:
+    if _integer(rounds, "rounds") < 1:
         raise InvalidTrials(f"need at least 1 subsample round, got {rounds}")
 
 

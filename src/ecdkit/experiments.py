@@ -82,6 +82,7 @@ def sample(spec: DistributionSpec, count: int, seed: int) -> FeatureSet:
     Generator is PCG64 seeded through SeedSequence(seed); the gaussian
     path uses numpy's ziggurat standard-normal scaled by sqrt(variance).
     """
+    count = _integer(count, "count")
     if count < 1:
         raise InvalidSpec(f"sample count must be at least 1, got {count}")
     rng = _stream(seed)
@@ -247,7 +248,8 @@ def _grid_cell(args) -> list:
 
 
 def _run_cells(fn, configs, workers):
-    if workers is not None and workers > 1:
+    workers = 1 if workers is None else _integer(workers, "workers")
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # map() yields results in submission order, so the table
             # layout never depends on completion order

@@ -9,6 +9,7 @@ sizes of interest are at most a few thousand points.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +169,9 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("distance entries must be finite")
-    asym = np.max(np.abs(arr - arr.T)) if arr.size else 0.0
+    # one scratch matrix beside the raw one: asymmetry, then the symmetrized sum
+    scratch = arr - arr.T
+    asym = np.max(np.abs(scratch, out=scratch), initial=0.0)
     if asym > tolerance:
         raise AsymmetryError(f"max |d[i,j] - d[j,i]| = {asym:g} exceeds tolerance {tolerance:g}")
     diag = np.max(np.abs(np.diagonal(arr))) if arr.size else 0.0
@@ -177,7 +180,8 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     low = np.min(arr) if arr.size else 0.0
     if low < -tolerance:
         raise NegativeDistanceError(f"min entry {low:g} below -tolerance {-tolerance:g}")
-    sym = (arr + arr.T) / 2.0
+    sym = np.add(arr, arr.T, out=scratch)
+    sym /= 2.0
     np.fill_diagonal(sym, 0.0)
     np.clip(sym, 0.0, None, out=sym)
     return DistanceMatrix(sym)
@@ -189,29 +193,87 @@ def _read_csv(path, header: bool) -> np.ndarray:
     """Numeric rows of a comma-separated file; blank lines are skipped.
 
     With `header`, a first row whose first field fails numeric parsing
-    is skipped as a header.
+    is skipped as a header. A seekable file goes to numpy's C tokenizer
+    first; any text it refuses is read again by the exact parser, which
+    alone decides what else is accepted and how each rejection reads.
     """
-    rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or all(f.strip() == "" for f in rec):
-                continue
-            if header:
-                header = False
-                try:
-                    float(rec[0])
-                except ValueError:
-                    continue  # header row
+        try:
+            if fh.seekable():  # the exact parser may have to read it again
+                values = _read_fast(fh)
+                if values is not None:
+                    return values
+                fh.seek(0)
+            return _read_exact(fh, path, header)
+        except UnicodeDecodeError:
+            raise _decode_error(path, fh) from None
+
+
+def _read_fast(fh) -> np.ndarray | None:
+    """The rows of fh by ``np.loadtxt``, or None when it refuses the text.
+
+    Its fields are a subset of what float() accepts, with no quoting and
+    no comments, and it converts them with the same C routine, so what it
+    returns is bitwise what the exact parser would return. It refuses
+    whitespace-only lines, quotes, underscores and non-ASCII digits,
+    which the exact parser accepts, and everything the exact parser
+    rejects.
+    """
+    with warnings.catch_warnings():
+        # an empty result goes to the exact parser, which raises EmptySet
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        try:
+            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None,
+                                quotechar=None, ndmin=2)
+        except ValueError:  # undecodable bytes too: the exact parser reports them
+            return None
+    return values if values.size else None
+
+
+def _read_exact(fh, path, header: bool) -> np.ndarray:
+    """The rows of fh by the csv module and float(): the reference parse."""
+    rows: list[list[float]] = []
+    first_line = ragged = None
+    for lineno, rec in enumerate(csv.reader(fh), start=1):
+        if not rec or all(f.strip() == "" for f in rec):
+            continue
+        if header:
+            header = False
             try:
-                rows.append([float(f) for f in rec])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: non-numeric value on line {lineno}: {exc}") from None
+                float(rec[0])
+            except ValueError:
+                continue  # header row
+        try:
+            rows.append([float(f) for f in rec])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: non-numeric value on line {lineno}: {exc}") from None
+        if first_line is None:
+            first_line = lineno
+        elif ragged is None and len(rec) != len(rows[0]):
+            ragged = lineno, len(rec)
     if not rows:
         raise EmptySet(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SchemaError(f"{path}: rows have inconsistent column counts")
+    if ragged is not None:
+        raise SchemaError(
+            f"{path}: rows have inconsistent column counts: {ragged[1]} on line "
+            f"{ragged[0]}, {len(rows[0])} on line {first_line}"
+        )
     return np.array(rows, dtype=np.float64)
+
+
+def _decode_error(path, fh) -> SchemaError:
+    """SchemaError for a file that fh's encoding cannot decode. The decoder
+    counts offsets from the chunk it was handed, so a seekable file is
+    decoded again whole to place the first bad byte."""
+    where = ""
+    if fh.seekable():
+        fh.buffer.seek(0)
+        data = fh.buffer.read()
+        try:
+            data.decode(fh.encoding)
+        except UnicodeDecodeError as exc:
+            where = f": byte {data[exc.start]:#04x} at offset {exc.start}"
+    return SchemaError(f"{path}: not valid {fh.encoding} text{where}")
 
 
 def load_feature_csv(path) -> FeatureSet:

@@ -121,6 +121,13 @@ class TestEcdErrors:
         assert main(["ecd", "--set-a", a, "--set-b", b, "--seed", "-1",
                      "--k", "1"]) == 2
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n3,\xff\n")
+        assert main(["ecd", "--distances", str(bad), "--split", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "offset 6" in err
+
     def test_split_leaving_one_point(self, tmp_path, capsys):
         pts = np.array([0.0, 1.0, 10.0, 11.0])
         vals = np.abs(pts[:, None] - pts[None, :])

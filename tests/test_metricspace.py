@@ -218,9 +218,10 @@ def test_load_feature_csv_without_header(tmp_path):
 
 
 _BAD_CSV = (
-    ("ragged", "1.0,2.0\n3.0\n", SchemaError),
-    ("empty", "", EmptySet),
-    ("non-numeric", "1.0,2.0\n3.0,abc\n", SchemaError),
+    ("ragged", b"1.0,2.0\n3.0\n", SchemaError),
+    ("empty", b"", EmptySet),
+    ("non-numeric", b"1.0,2.0\n3.0,abc\n", SchemaError),
+    ("undecodable", b"1,2\n3,\xff\n", SchemaError),
 )
 
 
@@ -229,12 +230,12 @@ _BAD_CSV = (
       for loader in (load_feature_csv, load_distance_csv)
       for case, text, error in _BAD_CSV),
     # distance files have no header row to skip
-    pytest.param(load_distance_csv, "a,b\n0.0,1.0\n1.0,0.0\n", SchemaError,
+    pytest.param(load_distance_csv, b"a,b\n0.0,1.0\n1.0,0.0\n", SchemaError,
                  id="load_distance_csv-header"),
 ])
 def test_load_csv_errors(tmp_path, loader, text, error):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text)
     with pytest.raises(error):
         loader(path)
 

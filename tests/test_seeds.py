@@ -1,6 +1,8 @@
 """One seed rule at every seeded entry point: a seed is a non-negative
 integer by operator.index; anything else raises InvalidSpec (CLI exit 2)
-before any distance, graph, trial or experiment cell is computed."""
+before any distance, graph, trial or experiment cell is computed. Sample
+counts, trials, rounds, subsample sizes and worker counts are integers by
+the same test."""
 
 import csv
 import importlib
@@ -83,6 +85,31 @@ LIBRARY = {
 }
 
 
+SPEC = DistributionSpec("gaussian", 2)
+
+# counts that are not integers by operator.index, one entry point each
+BAD_COUNTS = {
+    "sample-float": lambda x: sample(SPEC, 2.5, 0),
+    "sample-str": lambda x: sample(SPEC, "3", 0),
+    "permutation_samples": lambda x: permutation_samples(x["g"], 10, 6, trials=2.5, seed=0),
+    "permutation_moments": lambda x: permutation_moments(x["g"], 10, 6, trials=2.5, seed=0),
+    "ecd_subsampled-float": lambda x: ecd_subsampled(x["a"], x["b"], k=1, rounds=2.0, seed=0),
+    "ecd_subsampled-str": lambda x: ecd_subsampled(x["a"], x["b"], k=1, rounds="2", seed=0),
+    "ecd_subsampled_from_distances": lambda x: ecd_subsampled_from_distances(
+        x["d"], PooledLabels(10, 6), k=1, rounds=2.0, seed=0
+    ),
+    "subsample_round_indices-take": lambda x: subsample_round_indices(0, 0, 10, 2.5),
+    "subsample_round_indices-pool": lambda x: subsample_round_indices(0, 0, 10.0, 2),
+    "variance_sweep-1.5": lambda x: variance_sweep(
+        dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=1.5
+    ),
+    "variance_sweep-2.5": lambda x: variance_sweep(
+        dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=2.5
+    ),
+    "distribution_grid": lambda x: distribution_grid(dim=2, n=8, k=1, seed=0, workers=2.5),
+}
+
+
 def write_points(path, pts):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([[repr(float(v)) for v in row] for row in pts])
@@ -117,6 +144,21 @@ def test_library_rejects_seed_before_any_work(entry, seed, inputs, calls):
     with pytest.raises(InvalidSpec):
         LIBRARY[entry](inputs, seed)
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_COUNTS))
+def test_library_rejects_count_before_any_work(entry, inputs, calls):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        BAD_COUNTS[entry](inputs)
+    assert calls == []
+
+
+def test_integer_counts_of_any_type_run(inputs):
+    assert np.array_equal(sample(SPEC, True, 0).points, sample(SPEC, 1, 0).points)
+    rep = ecd_subsampled(inputs["a"], inputs["b"], k=1, rounds=np.int64(2), seed=0)
+    assert type(rep.subsample_rounds) is int and rep.subsample_rounds == 2
+    table = variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=np.int8(2))
+    assert table.rows == variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1, seed=0).rows
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
