@@ -1,5 +1,5 @@
 """Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
-null-moment and CSV-ingest kernels.
+null-moment and CSV-ingest kernels, and of one whole `ecd` comparison.
 
 Run from the repository root with
 
@@ -14,7 +14,9 @@ import pytest
 
 from ecdkit import (
     DistributionSpec,
+    FeatureSet,
     PooledLabels,
+    ecd,
     edge_counts,
     fit_gaussian,
     frechet_gaussian,
@@ -85,6 +87,23 @@ def test_kmst_binary_1000_dim_100(benchmark):
     d = pairwise_distances(*pooled("binary", 500, 100))
     g = benchmark.pedantic(kmst, (d, 10), rounds=5)
     assert g.n_edges == 10 * 999
+
+
+def test_kmst_mixed_1000_dim_100(benchmark):
+    # Gaussian against +-1 binary: the mixed cells of the distribution grid
+    a = sample(DistributionSpec("gaussian", DIM), 500, 0)
+    b = sample(DistributionSpec("binary", DIM), 500, 1)
+    d = pairwise_distances(a, b)
+    g = benchmark.pedantic(kmst, (d, 10), rounds=5)
+    assert g.n_edges == 10 * 999
+
+
+def test_ecd_4000_dim_32(benchmark):
+    # one whole comparison at the size of the benchmark's pair-large item
+    a = FeatureSet(np.random.default_rng(0).standard_normal((2000, 32)))
+    b = FeatureSet(np.random.default_rng(1).standard_normal((2000, 32)) * np.sqrt(1.1))
+    report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
+    assert report.counts.total == 10 * 3999
 
 
 def write_csv(path, values):

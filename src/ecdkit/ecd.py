@@ -37,7 +37,13 @@ from .errors import (
     SizeMismatch,
     TooFewPoints,
 )
-from .metricspace import DistanceMatrix, FeatureSet, PooledLabels, pairwise_distances
+from .metricspace import (
+    DistanceMatrix,
+    FeatureSet,
+    PooledLabels,
+    _by_construction,
+    pairwise_distances,
+)
 from .numerics import quadratic_form_2x2
 from .spanning import DEFAULT_K, SpanningGraph, degree_statistic, kmst
 
@@ -409,6 +415,6 @@ def ecd_subsampled_from_distances(
 
     def pooled(idx):
         keep = np.concatenate([idx, b_rows])
-        return DistanceMatrix(d.values[np.ix_(keep, keep)])
+        return _by_construction(d.values[np.ix_(keep, keep)])
 
     return _subsample(pooled, labels.n, labels.m, k, rounds, seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ecd import _integer, _seed, _stream, ecd, ecd_from_distances
 from .errors import InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet, PooledLabels, pairwise_distances
+from .metricspace import FeatureSet, PooledLabels, _decode_error, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
 from .spanning import DEFAULT_K
 
@@ -173,24 +173,27 @@ class ExperimentTable:
     def from_csv(cls, path) -> "ExperimentTable":
         rows = []
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != CSV_HEADER:
-                raise SchemaError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != len(CSV_HEADER):
-                    raise SchemaError(f"{path}: line {lineno} has {len(rec)} fields")
-                try:
-                    rows.append(ExperimentRow(
-                        experiment_id=rec[0], kind_a=rec[1], kind_b=rec[2],
-                        dim=int(rec[3]), variance_a=float(rec[4]),
-                        measure_name=rec[5], value=float(rec[6]),
-                        seed=int(rec[7]), n=int(rec[8]), m=int(rec[9]), k=int(rec[10]),
-                    ))
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: {exc}") from None
+            try:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or tuple(header) != CSV_HEADER:
+                    raise SchemaError(f"{path}: expected header {','.join(CSV_HEADER)}")
+                for lineno, rec in enumerate(reader, start=2):
+                    if not rec:
+                        continue
+                    if len(rec) != len(CSV_HEADER):
+                        raise SchemaError(f"{path}: line {lineno} has {len(rec)} fields")
+                    try:
+                        rows.append(ExperimentRow(
+                            experiment_id=rec[0], kind_a=rec[1], kind_b=rec[2],
+                            dim=int(rec[3]), variance_a=float(rec[4]),
+                            measure_name=rec[5], value=float(rec[6]),
+                            seed=int(rec[7]), n=int(rec[8]), m=int(rec[9]), k=int(rec[10]),
+                        ))
+                    except ValueError as exc:
+                        raise SchemaError(f"{path}: line {lineno}: {exc}") from None
+            except UnicodeDecodeError:
+                raise _decode_error(path, fh) from None
         if not rows:
             raise SchemaError(f"{path}: no data rows")
         return cls(rows=tuple(rows))

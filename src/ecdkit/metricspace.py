@@ -95,6 +95,19 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
+def _by_construction(values: np.ndarray) -> DistanceMatrix:
+    """DistanceMatrix over a float64 matrix built to hold the invariants.
+
+    Only for matrices the library builds that way: mirrored ``pdist``
+    output with finite entries, or a symmetric gather ``v[np.ix_(r, r)]``
+    of a valid matrix. The checks of ``__post_init__`` are skipped, since
+    they could not fail.
+    """
+    d = object.__new__(DistanceMatrix)
+    object.__setattr__(d, "values", values)
+    return d
+
+
 @dataclass(frozen=True)
 class PooledLabels:
     """Split of a pooled matrix: the first `n` rows form the first set."""
@@ -127,16 +140,20 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
     """Dense distance matrix over the pooled rows ``[a; b]``.
 
     Each unordered pair is computed once (``pdist``) and mirrored
-    (``squareform``), so the two halves are bitwise identical and the
-    result passes validation with zero tolerance. Entries are computed
-    independently of one another; the output does not depend on any
-    parallel execution schedule.
+    (``squareform``), so the two halves are bitwise identical, the
+    diagonal is zero and no entry is negative; only finiteness is
+    checked, since finite features far apart overflow to inf. Entries are
+    computed independently of one another; the output does not depend on
+    any parallel execution schedule.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)
     pooled = np.vstack([a.points, b.points])
-    return DistanceMatrix(squareform(pdist(pooled, metric=name)))
+    condensed = pdist(pooled, metric=name)
+    if not np.isfinite(condensed).all():
+        raise NonFiniteInput("distances must be finite")
+    return _by_construction(squareform(condensed))
 
 
 def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> np.ndarray:

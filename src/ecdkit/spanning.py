@@ -37,10 +37,11 @@ def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
 
     splitmix64-style finalizer over the flattened pair key; pure uint64
     wraparound arithmetic, identical on every platform. It is a bijection
-    of the key, so distinct pairs never share a rank.
+    of the key, so distinct pairs never share a rank. `lo` and `hi` are
+    int64 arrays; their key ``lo * n_nodes + hi`` is formed in int64,
+    exact for any n_nodes below 3e9, and read as uint64.
     """
-    z = np.asarray(lo, dtype=np.uint64) * np.uint64(n_nodes)
-    z += np.asarray(hi, dtype=np.uint64)
+    z = (lo * n_nodes + hi).view(np.uint64)
     z += _MIX_INC
     z ^= z >> _SHIFT_30
     z *= _MIX_A
@@ -89,6 +90,12 @@ def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
     the one with the smallest pair rank wins. Tree nodes hold NaN in
     `best`, so they are never the minimum, never closer and never tied,
     and their `parent` is final. Returns (lo, hi, weight), one per step.
+
+    Distances are nonnegative, so `best` orders as its int64 bits, NaN
+    above inf: one argmin finds a cheapest node, and a second, with that
+    node set to NaN, tells whether another node ties with it. The pair
+    rank of each frontier node's edge to its parent is computed when a
+    tie first needs it and kept until the parent changes.
     """
     values = d.values
     n = values.shape[0]
@@ -101,41 +108,54 @@ def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
     best = values[0].copy()
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
+    bits = best.view(np.int64)
     parent = np.zeros(n, dtype=np.int64)
-    at_lowest = np.empty(n, dtype=bool)
-    closer = np.empty(n, dtype=bool)
-    tied = np.empty(n, dtype=bool)
+    # rank[v] is the pair rank of (ranked[v], v); it is current while
+    # ranked[v] == parent[v], so a parent change makes it stale
+    rank = np.zeros(n, dtype=np.uint64)
+    ranked = np.full(n, -1, dtype=np.int64)
+
+    def parent_ranks(nodes):
+        ends = parent[nodes]
+        stale = ranked[nodes] != ends
+        if np.count_nonzero(stale):  # cheaper than .any() on short arrays
+            fresh, ends = nodes[stale], ends[stale]
+            rank[fresh] = _pair_rank(n, np.minimum(ends, fresh), np.maximum(ends, fresh))
+            ranked[fresh] = ends
+        return rank[nodes]
+
+    at_most = np.empty(n, dtype=bool)
     added = np.empty(n - 1, dtype=np.int64)
     for step in range(n - 1):
-        lowest = np.fmin.reduce(best)
+        vertex = bits.argmin()
+        lowest = best[vertex]
         if lowest == np.inf:
             raise DisconnectedError("graph is disconnected under the current edge exclusions")
-        np.equal(best, lowest, out=at_lowest)
-        cand = at_lowest.nonzero()[0]
-        if cand.size == 1:
-            vertex = cand[0]
-        else:
+        best[vertex] = np.nan
+        if best[bits.argmin()] == lowest:  # any float tie, -0.0 against +0.0 too
+            best[vertex] = lowest
+            cand = (best == lowest).nonzero()[0]
             # candidates are distinct frontier nodes with tree parents, so
             # their pairs, and hence their ranks, are distinct
-            ends = parent[cand]
-            ranks = _pair_rank(n, np.minimum(ends, cand), np.maximum(ends, cand))
-            vertex = cand[ranks.argmin()]
+            vertex = cand[parent_ranks(cand).argmin()]
+            best[vertex] = np.nan
         added[step] = vertex
-        best[vertex] = np.nan
         row = values[vertex]
-        np.less(row, best, out=closer)
-        np.equal(row, best, out=tied)
-        excluded = nbr[ptr[vertex]:ptr[vertex + 1]]
-        closer[excluded] = False
-        tied[excluded] = False
-        np.copyto(best, row, where=closer)
-        parent[closer] = vertex
-        ties = tied.nonzero()[0]
-        if ties.size:
-            # keep the lower-ranked tree endpoint for each tied frontier edge
-            ends = np.stack((np.full(ties.size, vertex), parent[ties]))
-            ranks = _pair_rank(n, np.minimum(ends, ties), np.maximum(ends, ties))
-            parent[ties[ranks[0] < ranks[1]]] = vertex
+        np.less_equal(row, best, out=at_most)
+        at_most[nbr[ptr[vertex]:ptr[vertex + 1]]] = False
+        near = at_most.nonzero()[0]
+        if near.size:
+            gain = row[near]
+            closer = gain < best[near]
+            if np.count_nonzero(closer) < near.size:
+                # a tied frontier edge replaces the current one if its pair ranks lower
+                ranks = _pair_rank(n, np.minimum(vertex, near), np.maximum(vertex, near))
+                closer |= ranks < parent_ranks(near)
+                near, gain = near[closer], gain[closer]
+                rank[near] = ranks[closer]
+                ranked[near] = vertex
+            best[near] = gain  # a tied win writes an equal value
+            parent[near] = vertex
     ends = parent[added]
     return np.minimum(ends, added), np.maximum(ends, added), values[ends, added]
 

@@ -326,3 +326,10 @@ class TestPlotCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,table\n1,2,3\n")
         assert main(["plot", "--table", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    def test_undecodable_table(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"experiment_id,x\n\xff\n")
+        assert main(["plot", "--table", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "byte 0xff at offset 16" in err

@@ -291,6 +291,12 @@ class TestTableSerialization:
         with pytest.raises(SchemaError):
             ExperimentTable.from_csv(path)
 
+    def test_from_csv_names_an_undecodable_byte(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"experiment_id,x\n\xff\n")
+        with pytest.raises(SchemaError, match=r"not valid .* text: byte 0xff at offset 16$"):
+            ExperimentTable.from_csv(path)
+
     def test_from_csv_rejects_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,8 @@ from ecdkit.metricspace import (
     pairwise_distances,
     validate_distance_matrix,
 )
+
+ecd_module = importlib.import_module("ecdkit.ecd")  # the package exports a function `ecd`
 
 
 def test_feature_set_coerces_1d_to_column():
@@ -86,6 +89,53 @@ def test_pairwise_distances_bitwise_gate(metric, n, m, dim):
     assert d.tobytes() == mirrored_cdist(a, b, metric).tobytes()
     # the cross block is what coverage and MMD compute on their own
     assert d[:n, n:].tobytes() == cross_distances(a, b, metric).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+def test_pairwise_distances_overflow_is_not_finite(metric):
+    # finite features whose distance overflows to inf
+    a = FeatureSet(np.array([[1e200]]))
+    b = FeatureSet(np.array([[-1e200]]))
+    with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
+        pairwise_distances(a, b, metric)
+
+
+def assert_passes_validation(d):
+    checked = DistanceMatrix(d.values.copy())
+    assert checked.values.dtype == d.values.dtype == np.float64
+    assert checked.values.tobytes() == d.values.tobytes()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("kind", ["gaussian", "binary", "duplicate"])
+def test_pairwise_distances_pass_validation(metric, kind):
+    rng = np.random.default_rng(21)
+    if kind == "gaussian":
+        pts = rng.standard_normal((40, 6))
+    elif kind == "binary":
+        pts = rng.choice([-1.0, 1.0], size=(40, 6))
+    else:
+        pts = rng.standard_normal((8, 6))[rng.integers(0, 8, 40)]
+    assert_passes_validation(pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:]),
+                                                metric))
+
+
+def test_subsample_gather_passes_validation(monkeypatch):
+    rng = np.random.default_rng(22)
+    pts = rng.standard_normal((30, 4))
+    d = pairwise_distances(FeatureSet(pts[:18]), FeatureSet(pts[18:]))
+    gathered = []
+    score = ecd_module.ecd_from_distances
+
+    def spy(sub, labels, k):
+        gathered.append(sub)
+        return score(sub, labels, k)
+
+    monkeypatch.setattr(ecd_module, "ecd_from_distances", spy)
+    ecd_module.ecd_subsampled_from_distances(d, PooledLabels(18, 12), k=2, rounds=3, seed=4)
+    assert [sub.n_points for sub in gathered] == [24, 24, 24]
+    for sub in gathered:
+        assert_passes_validation(sub)
 
 
 def test_pairwise_distances_peak_memory():

@@ -242,10 +242,13 @@ class TestExcludedValidation:
 
 # --- equality gate against the frozen dense-copy construction ---------------
 
-KINDS = ("gaussian", "binary", "ternary", "duplicate")
+KINDS = ("gaussian", "binary", "ternary", "duplicate", "mixed")
 
 
-def pooled_matrix(kind, n, dim, seed):
+def pooled_matrix(kind, n, dim, seed, duplicates=False, signed_zeros=False):
+    """Pooled matrix of n points of `kind`. With `duplicates` the points are
+    drawn with replacement from a third of them; with `signed_zeros` about
+    half of the zero entries become -0.0, which DistanceMatrix accepts."""
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         pts = rng.standard_normal((n, dim))
@@ -253,10 +256,20 @@ def pooled_matrix(kind, n, dim, seed):
         pts = rng.choice([-1.0, 1.0], size=(n, dim))
     elif kind == "ternary":
         pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+    elif kind == "mixed":
+        pts = np.concatenate((rng.standard_normal((n // 2, dim)),
+                              rng.choice([-1.0, 1.0], size=(n - n // 2, dim))))
     else:
         pts = np.zeros((n, dim))
+    if duplicates:
+        pts = pts[rng.integers(0, max(1, n // 3), n)]
     half = n // 2
-    return pairwise_distances(FeatureSet(pts[:half]), FeatureSet(pts[half:]))
+    d = pairwise_distances(FeatureSet(pts[:half]), FeatureSet(pts[half:]))
+    if not signed_zeros:
+        return d
+    values = d.values.copy()
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    return DistanceMatrix(values)
 
 
 def outcome(build, *args):
@@ -307,6 +320,42 @@ class TestMatchesReference:
         excluded = [(3, j) for j in range(8)]
         assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
 
+    def test_signed_zeros(self):
+        d = pooled_matrix("ternary", 40, 2, seed=8, duplicates=True, signed_zeros=True)
+        off_diagonal = ~np.eye(40, dtype=bool)
+        assert np.signbit(d.values[off_diagonal & (d.values == 0.0)]).any()
+        for k in (5, 21):
+            assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    def test_duplicate_points(self, kind):
+        d = pooled_matrix(kind, 45, 3, seed=12, duplicates=True)
+        assert (d.values == 0.0).sum() > 3 * 45
+        for k in (4, 23):
+            assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    def test_all_equal_matrix(self, n):
+        values = np.full((n, n), 2.5)
+        np.fill_diagonal(values, 0.0)
+        d = DistanceMatrix(values)
+        for k in range(1, n // 2 + 2):
+            assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fortran_ordered_values(self, kind):
+        c = pooled_matrix(kind, 36, 3, seed=6)
+        d = DistanceMatrix(np.asfortranarray(c.values))
+        assert d.values.flags.f_contiguous and not d.values.flags.c_contiguous
+        assert_same_graph(outcome(kmst, d, 7), outcome(reference_kmst, d, 7))
+        assert_same_graph(kmst(d, 7), kmst(c, 7))
+        excluded = [(i, (5 * i + 1) % 36) for i in range(36)]
+        assert mst(d, excluded) == reference_mst(d, excluded)
+
+    def test_mixed_pool_at_dim_100(self):
+        d = pooled_matrix("mixed", 80, 100, seed=2)
+        assert_same_graph(outcome(kmst, d, 10), outcome(reference_kmst, d, 10))
+
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(KINDS),
@@ -314,10 +363,12 @@ class TestMatchesReference:
         dim=st.integers(1, 5),
         k_share=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        duplicates=st.booleans(),
+        signed_zeros=st.booleans(),
     )
-    def test_property(self, kind, n, dim, k_share, seed):
+    def test_property(self, kind, n, dim, k_share, seed, duplicates, signed_zeros):
         k = 1 + int(k_share * (n // 2))  # 1..N/2 + 1, the last one infeasible
-        d = pooled_matrix(kind, n, dim, seed)
+        d = pooled_matrix(kind, n, dim, seed, duplicates, signed_zeros)
         assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
         excluded = [tuple(int(v) for v in pair)
                     for pair in np.random.default_rng(seed).integers(0, n, (n, 2))]
