@@ -7,6 +7,11 @@ Run from the repository root with
 
 This directory sits outside the test suite's `testpaths`, so a plain
 `pytest` never collects it.
+
+To compare two checkouts, run this command from inside each one.
+`pyproject.toml` sets pytest's `pythonpath = ["src"]`, which takes
+precedence over `PYTHONPATH`, so pointing `PYTHONPATH` at another
+checkout's `src` still times this checkout's code.
 """
 
 import numpy as np

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, default=DEFAULT_K)
     ps.add_argument("--dims", type=_parse_dims, default=DEFAULT_SWEEP_DIMS,
                     metavar="D1,D2,...")
-    ps.add_argument("--workers", type=int, help="thread pool size (optional)")
+    ps.add_argument("--workers", type=int, help="thread pool size, at least 1")
     ps.set_defaults(func=cmd_sweep)
 
     pg = xsub.add_parser("distribution-grid", help="distribution-pair table")
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--n", type=int, default=DEFAULT_GRID_N, help="points per set")
     pg.add_argument("--k", type=int, default=DEFAULT_K)
     pg.add_argument("--dim", type=int, default=DEFAULT_GRID_DIM)
-    pg.add_argument("--workers", type=int, help="thread pool size (optional)")
+    pg.add_argument("--workers", type=int, help="thread pool size, at least 1")
     pg.set_defaults(func=cmd_grid)
 
     pp = sub.add_parser("plot", help="render SVG panels from an experiment CSV")

@@ -252,6 +252,8 @@ def _grid_cell(args) -> list:
 
 def _run_cells(fn, configs, workers):
     workers = 1 if workers is None else _integer(workers, "workers")
+    if workers < 1:
+        raise InvalidSpec(f"workers must be at least 1, got {workers}")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # map() yields results in submission order, so the table

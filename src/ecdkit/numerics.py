@@ -1,13 +1,13 @@
 """Self-contained numerical kernels.
 
-Symmetric eigendecomposition by Jacobi rotations in round-robin
-(Brent-Luk) parallel order, the PSD matrix square root built on it, and
-the explicit 2x2 quadratic form used by the edge-count statistic. Each
-round applies d/2 disjoint rotations as a few whole-array numpy
-operations; sizes of interest are small (covariances of a few hundred
-dimensions at most), where Jacobi is simple and very accurate. The solver
-uses elementwise IEEE arithmetic only, no BLAS, so its bits do not depend
-on the linked BLAS or its thread count.
+Symmetric eigendecomposition, the PSD matrix square root built on it, and
+the explicit 2x2 quadratic form used by the edge-count statistic. The
+eigensolver reduces the matrix to tridiagonal form with Householder
+reflectors (elementwise numpy and `np.einsum` without `optimize`), then
+solves the tridiagonal with LAPACK's implicit QL/QR (`dstev`, or `dsterf`
+when only eigenvalues are needed; Golub & Van Loan, Matrix Computations,
+section 8.3). None of these calls threaded BLAS, so the bits do not depend
+on the linked BLAS's thread count or on a surrounding thread pool.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NonFiniteInput, NonSquareError, AsymmetryError, NoConvergence, NotPSD, SingularCovariance
 
-#: Convergence target: off-diagonal Frobenius norm relative to the input norm.
-EIG_TOL = 1e-12
-#: Jacobi converges quadratically; sweeps above this signal a bug.
-EIG_MAX_SWEEPS = 100
 #: Eigenvalues of a nominally PSD matrix may round slightly negative; anything
 #: below -PSD_SLACK * lambda_max is treated as materially negative.
 PSD_SLACK = 1e-9
@@ -41,154 +38,91 @@ def _as_symmetric(m) -> np.ndarray:
     return a
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    sq = a * a
-    np.fill_diagonal(sq, 0.0)
-    return math.sqrt(float(np.sum(sq)))
+def _tridiagonalize(a: np.ndarray):
+    """Householder reduction of a symmetric matrix, A = Q T Q^T, in place.
 
-
-def _schedule(n: int):
-    """Round-robin (circle method) ordering for an even size n.
-
-    Each round rotates position i against position i + n/2. `start` is the
-    index held by each position in the first round of a sweep; gathering
-    rows and columns by `step` after a round sets up the next one. After
-    n - 1 rounds every pair has met once and the positions are back at
-    `start`.
+    Returns the diagonal and subdiagonal of T and the reflectors
+    ``(k, v, tau)``, each meaning H = I - tau v v^T on rows k+1.. with
+    v[0] = 1 (LAPACK's dlarfg convention). A column that is already
+    reduced (zeros below its subdiagonal) gets no reflector, so diagonal
+    and zero matrices pass through exactly. Each column's norm is taken
+    after dividing by its largest entry, so a tiny column cannot underflow
+    to a zero norm.
     """
-    h = n // 2
-    # position -> slot on the circle: first half in order, second half reversed,
-    # so position i faces slot n - 1 - i
-    start = np.concatenate([np.arange(h), np.arange(n - 1, h - 1, -1)])
-    # slot 0 stays put; slots 1..n-1 advance one place per round
-    advance = np.concatenate([[0], np.arange(2, n), [1]])
-    step = np.argsort(start)[advance[start]]
-    return start, step
+    d = a.shape[0]
+    reflectors = []
+    for k in range(d - 2):
+        x = a[k + 1:, k]
+        s = np.max(np.abs(x[1:]))
+        if s == 0.0:
+            continue
+        alpha = x[0]
+        c = max(abs(alpha), s)
+        xc = x / c
+        beta = -math.copysign(c * math.sqrt(float(np.einsum("i,i->", xc, xc))), alpha)
+        tau = (beta - alpha) / beta
+        v = x / (alpha - beta)
+        v[0] = 1.0
+        # H A22 H = A22 - v w^T - w v^T; entry (j, i) adds the same two
+        # products as entry (i, j), so the block stays exactly symmetric
+        block = a[k + 1:, k + 1:]
+        p = tau * np.einsum("ij,j->i", block, v)
+        w = p - (0.5 * tau * float(np.einsum("i,i->", p, v))) * v
+        block -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
+        a[k + 1, k] = a[k, k + 1] = beta
+        reflectors.append((k, v, tau))
+    return a.diagonal().copy(), a.diagonal(-1).copy(), reflectors
 
 
-def _tangents(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray) -> np.ndarray:
-    """Rotation tangent t for each 2x2 block; 0 where apq is already 0."""
-    zero = apq == 0.0
-    theta = (aqq - app) / np.where(zero, 1.0, 2.0 * apq)
-    # smaller-magnitude root of t^2 + 2t*theta - 1 = 0; keeps rotation
-    # angles <= 45 degrees for stability. theta * theta overflows only past
-    # |theta| ~ 1e154, giving t = 0 where the true t is below 1e-154.
-    with np.errstate(over="ignore"):
-        t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    t[zero] = 0.0
-    return t
+def _eig(a: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of a validated symmetric matrix and, when
+    `vectors`, the eigenvector matrix (columns), else None.
 
-
-def _rotate_rows(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """Rows (i, i + h) <- (c x_i - s x_{i+h}, s x_i + c x_{i+h}), in place.
-
-    `c` and `s` hold each pair's cosine and sine repeated along its row,
-    in the shape of one half of `x`.
-    """
-    h = c.shape[0]
-    top, bottom = x[:h], x[h:]
-    s_top = s * top
-    s_bottom = s * bottom
-    top *= c
-    bottom *= c
-    top -= s_bottom
-    bottom += s_top
-
-
-def _jacobi(a: np.ndarray, tol: float, max_sweeps: int, vectors: bool):
-    """Round-robin Jacobi on a validated symmetric matrix.
-
-    Returns ascending eigenvalues and, when `vectors`, the eigenvector
-    matrix (columns), else None. Odd sizes are padded with one zero row
-    and column; its off-diagonal entries stay exactly zero, so it never
-    rotates, and it is dropped before sorting. Only elementwise numpy
-    arithmetic is used (no BLAS), so the bits do not depend on a thread
-    pool.
+    Householder tridiagonalisation in numpy, then LAPACK's implicit QL/QR
+    on the tridiagonal (dstev, or dsterf for eigenvalues only). Neither
+    step calls threaded BLAS, so the bits do not depend on a thread count.
     """
     d = a.shape[0]
     if d < 2:
         return a.diagonal().copy(), (np.eye(d) if vectors else None)
-    n = d + d % 2
-    h = n // 2
-    start, step = _schedule(n)
-    x = np.zeros((n, n))
-    x[:d, :d] = a
-    x = x[start][:, start]
-    # rows are the eigenvector estimates, in position order
-    vt = np.eye(n)[start] if vectors else None
-    pp, qq = np.arange(h), np.arange(h, n)
-
-    target = tol * math.sqrt(float(np.sum(a * a)))
-    for _ in range(max_sweeps):
-        if _offdiag_norm(x) <= target:
-            break
-        for _ in range(n - 1):
-            diag = x.diagonal()
-            app, aqq = diag[:h], diag[h:]
-            apq = x[pp, qq]
-            t = _tangents(app, aqq, apq)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            new_pp = app - t * apq
-            new_qq = aqq + t * apq
-            # full-width factors: numpy multiplies these faster than
-            # broadcast columns
-            c = np.repeat(c, n).reshape(h, n)
-            s = np.repeat(s, n).reshape(h, n)
-
-            # row update J^T X; the column update X J is done as a row
-            # update of the contiguous transpose (the same elementwise
-            # operations), leaving y = (J^T X J)^T
-            _rotate_rows(x, c, s)
-            y = x.T.copy()
-            _rotate_rows(y, c, s)
-            # exact update of the rotated 2x2 blocks
-            y[pp, pp] = new_pp
-            y[qq, qq] = new_qq
-            y[pp, qq] = 0.0
-            y[qq, pp] = 0.0
-            # transpose back and regather for the next round's pairing
-            x = y[step].T[step]
-            if vectors:
-                _rotate_rows(vt, c, s)
-                vt = vt[step]
+    # scaling by a power of two is exact: the largest entry lands in
+    # [0.5, 1), so no product in the reduction overflows, and the
+    # eigenvalues scale back bit for bit
+    amax = float(np.max(np.abs(a)))
+    shift = math.frexp(amax)[1] if amax > 0.0 else 0
+    diag, off, reflectors = _tridiagonalize(np.ldexp(a, -shift))
+    if vectors:
+        w, z, info = lapack.dstev(diag, off, compute_v=1)
     else:
-        if _offdiag_norm(x) > target:
-            raise NoConvergence(
-                f"Jacobi sweep limit {max_sweeps} reached; off-diagonal norm "
-                f"{_offdiag_norm(x):g} above target {target:g}"
-            )
-
-    # positions are back at `start`: put them in index order, drop the pad
-    w = np.empty(n)
-    w[start] = x.diagonal()
-    order = np.argsort(w[:d], kind="stable")
+        (w, info), z = lapack.dsterf(diag, off), None
+    if info > 0:
+        raise NoConvergence(f"tridiagonal QL failed to converge ({info} off-diagonal entries left)")
+    w = np.ldexp(w, shift)
     if not vectors:
-        return w[order], None
-    v = np.empty((n, n))
-    v[:, start] = vt.T
-    return w[order], v[:d, :d][:, order]
+        return w, None
+    # eigenvectors of A are Q Z: apply the reflectors to Z, last first
+    for k, v, tau in reversed(reflectors):
+        rows = z[k + 1:]
+        rows -= np.multiply.outer(tau * v, np.einsum("i,ij->j", v, rows))
+    return w, z
 
 
-def sym_eig(m, tol: float = EIG_TOL, max_sweeps: int = EIG_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by round-robin Jacobi.
+def sym_eig(m):
+    """Eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as the matching columns of an orthogonal matrix, so that
-    ``V @ diag(w) @ V.T`` reconstructs the input. One sweep rotates every
-    index pair once, in d - 1 rounds of d/2 disjoint rotations each.
-    Convergence is declared when the off-diagonal Frobenius norm drops to
-    ``tol`` times the Frobenius norm of the input.
+    ``V @ diag(w) @ V.T`` reconstructs the input.
 
-    Raises NoConvergence if `max_sweeps` full sweeps do not reach `tol`.
+    Raises NoConvergence if LAPACK's tridiagonal QL does not converge.
     """
-    return _jacobi(_as_symmetric(m), tol, max_sweeps, vectors=True)
+    return _eig(_as_symmetric(m), vectors=True)
 
 
 def _psd_spectrum(m, vectors: bool):
     """Eigenvalues clamped at zero, and eigenvectors when asked, under the
     NotPSD rule of `psd_sqrt`."""
-    w, v = _jacobi(_as_symmetric(m), EIG_TOL, EIG_MAX_SWEEPS, vectors)
+    w, v = _eig(_as_symmetric(m), vectors)
     lam_max = float(max(w[-1], 0.0))
     floor = -PSD_SLACK * lam_max
     if w[0] < floor:

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecdkit
+from ecdkit import numerics
 from ecdkit.errors import NoConvergence, NonSquareError, NotPSD, SingularCovariance
-from ecdkit.numerics import psd_sqrt, quadratic_form_2x2, sym_eig
+from ecdkit.numerics import _psd_sqrt_trace, psd_sqrt, quadratic_form_2x2, sym_eig
 
 
 def random_symmetric(rng, n):
@@ -52,10 +58,81 @@ def test_sym_eig_matches_lapack(n):
     assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)
 
 
-def test_sym_eig_sweep_limit():
-    m = random_symmetric(np.random.default_rng(20), 20)
+@pytest.mark.parametrize("routine", ["dstev", "dsterf"])
+def test_sym_eig_no_convergence(routine, monkeypatch):
+    # LAPACK reports info > 0 when QL leaves off-diagonal entries unconverged
+    real = getattr(numerics.lapack, routine)
+
+    def unconverged(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 3)
+
+    monkeypatch.setattr(numerics.lapack, routine, unconverged)
+    m = binary_covariance(20)
     with pytest.raises(NoConvergence):
-        sym_eig(m, max_sweeps=1)
+        sym_eig(m) if routine == "dstev" else _psd_sqrt_trace(m)
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_sym_eig_power_of_two_scaling_is_exact(exponent):
+    for m in (binary_covariance(100), random_symmetric(np.random.default_rng(5), 41)):
+        w, v = sym_eig(m)
+        w_scaled, v_scaled = sym_eig(2.0**exponent * m)
+        assert np.all(np.isfinite(w_scaled))
+        assert np.array_equal(w_scaled, 2.0**exponent * w)
+        assert np.array_equal(v_scaled, v)
+
+
+def test_sym_eig_tiny_column():
+    # squares of 1e-170 underflow to zero; the reflector must still be
+    # finite and orthogonal
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[0, 2] = m[2, 0] = m[0, 3] = m[3, 0] = 1e-170
+    m[0, 1] = m[1, 0] = 1e-200
+    w, v = sym_eig(m)
+    assert np.all(np.isfinite(v))
+    assert np.allclose(w, [1.0, 2.0, 3.0, 4.0], rtol=1e-14, atol=0.0)
+    assert np.allclose(v.T @ v, np.eye(4), atol=1e-14)
+    assert np.allclose(np.abs(v), np.eye(4), atol=1e-14)
+
+
+# one child interpreter per BLAS thread setting; it prints a digest of the
+# eigensolver's and the Fréchet score's bytes
+BYTES_CHILD = """
+import hashlib
+import numpy as np
+from test_numerics import binary_covariance
+from ecdkit import DistributionSpec, fit_gaussian, frechet_gaussian, sample
+from ecdkit.numerics import psd_sqrt, sym_eig
+
+digest = hashlib.sha256()
+# np.linalg.eigh's bytes depend on the OpenBLAS thread count at dim 150
+# (seen with OpenBLAS 0.3.31), not at dim 100
+for dim in (100, 150):
+    m = binary_covariance(dim)
+    w, v = sym_eig(m)
+    digest.update(w.tobytes() + v.tobytes() + psd_sqrt(m).tobytes())
+    p = fit_gaussian(sample(DistributionSpec("gaussian", dim), 500, 1))
+    q = fit_gaussian(sample(DistributionSpec("binary", dim), 500, 2))
+    digest.update(np.float64(frechet_gaussian(p, q)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    paths = [str(Path(ecdkit.__file__).parents[1]), str(Path(__file__).parent)]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        child = subprocess.run(
+            [sys.executable, "-c", BYTES_CHILD],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(child.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_sym_eig_same_bytes_in_concurrent_threads():

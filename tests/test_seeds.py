@@ -2,7 +2,7 @@
 integer by operator.index; anything else raises InvalidSpec (CLI exit 2)
 before any distance, graph, trial or experiment cell is computed. Sample
 counts, trials, rounds, subsample sizes and worker counts are integers by
-the same test."""
+the same test, and a worker count is at least 1."""
 
 import csv
 import importlib
@@ -151,6 +151,30 @@ def test_library_rejects_count_before_any_work(entry, inputs, calls):
     with pytest.raises(InvalidSpec, match="must be an integer"):
         BAD_COUNTS[entry](inputs)
     assert calls == []
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("runner", ["variance_sweep", "distribution_grid"])
+def test_library_rejects_workers_below_one_before_any_work(runner, workers, calls):
+    run = {
+        "variance_sweep": lambda: variance_sweep(
+            dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=workers
+        ),
+        "distribution_grid": lambda: distribution_grid(dim=2, n=8, k=1, seed=0, workers=workers),
+    }[runner]
+    with pytest.raises(InvalidSpec, match=f"workers must be at least 1, got {workers}"):
+        run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["variance-sweep", "distribution-grid"])
+def test_cli_rejects_workers_below_one_before_any_work(command, workers, inputs, calls, tmp_path, capsys):
+    argv = [*cli_argv(tmp_path, inputs, command), "--seed", "0", "--workers", workers]
+    assert exit_code(argv) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_integer_counts_of_any_type_run(inputs):

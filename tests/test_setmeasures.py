@@ -22,6 +22,7 @@ from ecdkit import (
     mmd,
     sample,
 )
+from ecdkit.experiments import GRID_PAIRS
 from ecdkit.setmeasures import coverage_from_cross, mmd_from_cross
 
 
@@ -164,6 +165,15 @@ class TestFrechet:
         q = fit_gaussian(sample(DistributionSpec("gaussian", 100), 500, 2))
         ref, scale = lapack_frechet(p, q)
         assert abs(frechet_gaussian(p, q) - ref) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("kinds", GRID_PAIRS, ids="-".join)
+    def test_matches_lapack_to_1e_12_on_grid_pairs(self, kinds):
+        # the tridiagonal QL converges to working precision: within 1e-12
+        # of the LAPACK value relative to the score's scale
+        p = fit_gaussian(sample(DistributionSpec(kinds[0], 100), 500, 1))
+        q = fit_gaussian(sample(DistributionSpec(kinds[1], 100), 500, 2))
+        ref, scale = lapack_frechet(p, q)
+        assert abs(frechet_gaussian(p, q) - ref) <= 1e-12 * scale
 
     def test_indefinite_cross_term_rejected(self):
         # S_p^{1/2} S_q S_p^{1/2} = diag(1, -0.5): the eigenvalues-only
