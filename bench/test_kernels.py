@@ -14,6 +14,8 @@ precedence over `PYTHONPATH`, so pointing `PYTHONPATH` at another
 checkout's `src` still times this checkout's code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,16 @@ def pooled(kind, n, dim):
 
 
 def test_pairwise_distances_4000_dim_32(benchmark):
-    d = benchmark(pairwise_distances, *pooled("gaussian", 2000, 32))
-    assert d.n_points == 4000
+    a, b = pooled("gaussian", 2000, 32)
+    assert benchmark(pairwise_distances, a, b).n_points == 4000
+    # one more call, untimed, for the peak of what numpy and scipy allocate
+    tracemalloc.start()
+    try:
+        pairwise_distances(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,10 @@
 Every downstream statistic consumes one canonical structure: a dense,
 exactly symmetric, zero-diagonal :class:`DistanceMatrix` over the pooled
 points of the two sets being compared. Matrices are kept dense; pool
-sizes of interest are at most a few thousand points.
+sizes of interest are at most a few thousand points. The pooled matrix
+is filled in place one strip of rows at a time, each unordered pair
+computed once and written to both of its entries, so the only N x N
+array ever held is the result.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ METRICS = ("euclidean", "squared_euclidean")
 INGEST_TOLERANCE = 1e-9
 
 _CDIST_NAME = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}
+
+#: Rows per strip of the pooled matrix; a strip's distances are the only
+#: temporary beside the result.
+_STRIP_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,12 @@ class DistanceMatrix:
 def _by_construction(values: np.ndarray) -> DistanceMatrix:
     """DistanceMatrix over a float64 matrix built to hold the invariants.
 
-    Only for matrices the library builds that way: mirrored ``pdist``
-    output with finite entries, or a symmetric gather ``v[np.ix_(r, r)]``
-    of a valid matrix. The checks of ``__post_init__`` are skipped, since
-    they could not fail.
+    Only for matrices the library builds that way: the pooled matrix of
+    :func:`pairwise_distances`, whose every pair is computed once and
+    written to both of its entries, with a zero diagonal and finite
+    entries checked strip by strip, or a symmetric gather
+    ``v[np.ix_(r, r)]`` of a valid matrix. The checks of
+    ``__post_init__`` are skipped, since they could not fail.
     """
     d = object.__new__(DistanceMatrix)
     object.__setattr__(d, "values", values)
@@ -139,21 +148,35 @@ def _check_metric(metric: str) -> str:
 def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> DistanceMatrix:
     """Dense distance matrix over the pooled rows ``[a; b]``.
 
-    Each unordered pair is computed once (``pdist``) and mirrored
-    (``squareform``), so the two halves are bitwise identical, the
-    diagonal is zero and no entry is negative; only finiteness is
-    checked, since finite features far apart overflow to inf. Entries are
-    computed independently of one another; the output does not depend on
-    any parallel execution schedule.
+    The matrix is filled in place, one strip of ``_STRIP_ROWS`` rows at
+    a time: the strip's diagonal block from ``pdist`` mirrored by
+    ``squareform``, and its distances to every later row from ``cdist``,
+    written once as rows and once, transposed, as columns. Each
+    unordered pair is computed once, so the two halves are bitwise
+    identical, the diagonal is zero and no entry is negative; only
+    finiteness is checked, strip by strip, since finite features far
+    apart overflow to inf. Each entry is bitwise what ``pdist`` over the
+    whole pool gives, and does not depend on any parallel execution
+    schedule.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)
     pooled = np.vstack([a.points, b.points])
-    condensed = pdist(pooled, metric=name)
-    if not np.isfinite(condensed).all():
-        raise NonFiniteInput("distances must be finite")
-    return _by_construction(squareform(condensed))
+    n = pooled.shape[0]
+    values = np.empty((n, n))
+    for i0 in range(0, n, _STRIP_ROWS):
+        i1 = min(i0 + _STRIP_ROWS, n)
+        rows = pooled[i0:i1]
+        values[i0:i1, i0:i1] = squareform(pdist(rows, metric=name))
+        if i1 < n:
+            strip = cdist(rows, pooled[i1:], metric=name)
+            values[i0:i1, i1:] = strip
+            values[i1:, i0:i1] = strip.T
+        # entries are nonnegative and max propagates NaN: one pass, no mask
+        if not np.isfinite(values[i0:i1, i0:].max()):
+            raise NonFiniteInput("distances must be finite")
+    return _by_construction(values)
 
 
 def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> np.ndarray:

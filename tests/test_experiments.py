@@ -186,20 +186,24 @@ class TestVarianceSweep:
             assert got == [want]
 
     def test_cell_computes_distances_once(self, monkeypatch):
-        calls = []
+        # every pooled pair is computed exactly once, in whatever strips the
+        # pooled matrix is filled; COV and MMD make no cross-distance call
+        pairs = []
+        original_pdist, original_cdist = metricspace.pdist, metricspace.cdist
 
-        def counted(name):
-            original = getattr(metricspace, name)
+        def pdist(x, *args, **kwargs):
+            pairs.append(len(x) * (len(x) - 1) // 2)
+            return original_pdist(x, *args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            return wrapper
+        def cdist(xa, xb, *args, **kwargs):
+            pairs.append(len(xa) * len(xb))
+            return original_cdist(xa, xb, *args, **kwargs)
 
-        for name in ("pdist", "cdist"):
-            monkeypatch.setattr(metricspace, name, counted(name))
-        rows = _sweep_cell((5, 3, 1.3, 30, 2))
-        assert calls == ["pdist"]
+        monkeypatch.setattr(metricspace, "pdist", pdist)
+        monkeypatch.setattr(metricspace, "cdist", cdist)
+        n = 2 * metricspace._STRIP_ROWS + 30  # the pool spans several strips
+        rows = _sweep_cell((5, 3, 1.3, n, 2))
+        assert sum(pairs) == 2 * n * (2 * n - 1) // 2
         assert [r.measure_name for r in rows] == ["ECD", "COV", "MMD"]
 
     def test_default_variance_ladder(self):

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from ecdkit import metricspace
 from ecdkit.errors import (
     AsymmetryError,
     DimensionMismatch,
@@ -29,6 +30,9 @@ from ecdkit.metricspace import (
 )
 
 ecd_module = importlib.import_module("ecdkit.ecd")  # the package exports a function `ecd`
+
+STRIP = metricspace._STRIP_ROWS
+SCIPY_NAME = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}
 
 
 def test_feature_set_coerces_1d_to_column():
@@ -71,9 +75,8 @@ def test_pairwise_distances_bitwise_symmetric():
 
 def mirrored_cdist(a, b, metric):
     """The pooled matrix as cdist -> upper triangle -> mirror builds it."""
-    name = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}[metric]
     pooled = np.vstack([a.points, b.points])
-    upper = np.triu(cdist(pooled, pooled, metric=name), k=1)
+    upper = np.triu(cdist(pooled, pooled, metric=SCIPY_NAME[metric]), k=1)
     return upper + upper.T
 
 
@@ -98,6 +101,57 @@ def test_pairwise_distances_overflow_is_not_finite(metric):
     b = FeatureSet(np.array([[-1e200]]))
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
         pairwise_distances(a, b, metric)
+
+
+def strip_inputs(kind, n, dim=5):
+    rng = np.random.default_rng(n)
+    if kind == "duplicate":
+        return rng.standard_normal((4, dim))[rng.integers(0, 4, n)]
+    if kind == "binary":
+        return rng.choice([-1.0, 1.0], size=(n, dim))
+    return rng.choice([0.0, -0.0, 0.75, -1.5], size=(n, dim))  # signed zeros
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("kind", ["duplicate", "binary", "signed_zero"])
+@pytest.mark.parametrize("n", [2, 3, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1])
+def test_pairwise_distances_strips_equal_whole_pdist(metric, kind, n):
+    pts = strip_inputs(kind, n)
+    d = pairwise_distances(FeatureSet(pts[:n // 2]), FeatureSet(pts[n // 2:]), metric).values
+    assert d.tobytes() == squareform(pdist(pts, SCIPY_NAME[metric])).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("i, j", [
+    (2 * STRIP - 1, 2 * STRIP),  # in the last off-diagonal strip
+    (STRIP, 2 * STRIP - 1),  # inside a diagonal block
+    (0, 1),  # inside the first diagonal block
+])
+def test_pairwise_distances_overflow_in_one_block(metric, i, j):
+    n = 2 * STRIP + 1
+    pts = np.random.default_rng(9).standard_normal((n, 2))
+    # only the distance between rows i and j overflows
+    pts[i, 0], pts[j, 0] = 1e154, -1e154
+    whole = squareform(pdist(pts, SCIPY_NAME[metric]))
+    assert np.argwhere(~np.isfinite(whole)).tolist() == [[i, j], [j, i]]
+    with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
+        pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]), metric)
+
+
+@pytest.mark.parametrize("kernel", ["pdist", "cdist"])
+def test_pairwise_distances_nan_is_not_finite(monkeypatch, kernel):
+    # the check takes the max of each strip: a NaN must not hide under it
+    original = getattr(metricspace, kernel)
+
+    def with_nan(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out.flat[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(metricspace, kernel, with_nan)
+    pts = np.random.default_rng(10).standard_normal((2 * STRIP + 1, 3))
+    with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
+        pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]))
 
 
 def assert_passes_validation(d):
@@ -139,16 +193,17 @@ def test_subsample_gather_passes_validation(monkeypatch):
 
 
 def test_pairwise_distances_peak_memory():
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((1200, 8))
-    a, b = FeatureSet(pts[:600]), FeatureSet(pts[600:])
+    # the result plus one strip: no condensed copy, no N x N temporary
+    n = 1500
+    pts = np.stack([np.arange(n) * 0.5 ** k for k in range(8)], axis=1)
+    a, b = FeatureSet(pts[:700]), FeatureSet(pts[700:])
     tracemalloc.start()
     try:
         pairwise_distances(a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 1200 * 1200 * 8
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_squared_metric_matches_squared_euclidean():
