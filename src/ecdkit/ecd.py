@@ -24,7 +24,6 @@ on small instances.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +41,7 @@ from .metricspace import (
     FeatureSet,
     PooledLabels,
     _by_construction,
+    _integer,
     pairwise_distances,
 )
 from .numerics import quadratic_form_2x2
@@ -136,10 +136,7 @@ class EcdReport:
 
 def edge_counts(g: SpanningGraph, labels: PooledLabels) -> EdgeCounts:
     """Classify graph edges by the side of the split their endpoints fall on."""
-    if labels.n_total != g.n_nodes:
-        raise SizeMismatch(
-            f"label split covers {labels.n_total} nodes, graph has {g.n_nodes}"
-        )
+    _check_cover(g.n_nodes, labels)
     in_first = np.arange(g.n_nodes) < labels.split_index
     r1, r2 = _within_counts(g.ei, g.ej, in_first)
     return EdgeCounts(r1=r1, r2=r2, r12=g.n_edges - r1 - r2)
@@ -155,13 +152,11 @@ def _within_counts(ei: np.ndarray, ej: np.ndarray, in_first: np.ndarray) -> tupl
 
 def null_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
     """Analytic mean and covariance of (R1, R2) over uniform relabelings."""
+    n, m = _integer(n, "n"), _integer(m, "m")
     big_n = n + m
     if big_n < 4:
         raise TooFewPoints(f"null covariance needs n + m >= 4, got {big_n}")
-    if n < 2 or m < 2:
-        raise SizeMismatch(f"each set needs at least 2 points, got ({n}, {m})")
-    if g.n_nodes != big_n:
-        raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {big_n}")
+    _check_cover(g.n_nodes, PooledLabels(n, m))
     edges = float(g.n_edges)
     c = degree_statistic(g)
     nn = float(big_n)
@@ -197,10 +192,11 @@ def ecd_statistic(counts: EdgeCounts, moments: NullMoments) -> float:
     return value
 
 
-def _check_cover(d: DistanceMatrix, labels: PooledLabels) -> None:
-    if labels.n_total != d.n_points:
+def _check_cover(n_points: int, labels: PooledLabels) -> None:
+    """The one cover rule: a split must label every pooled point."""
+    if labels.n_total != n_points:
         raise SizeMismatch(
-            f"split sizes {labels.n}+{labels.m} do not cover the {d.n_points}-point matrix"
+            f"split sizes {labels.n}+{labels.m} do not cover the {n_points} pooled points"
         )
 
 
@@ -209,7 +205,7 @@ def ecd_from_distances(
 ) -> EcdReport:
     """Statistic from a pooled distance matrix whose first n rows are set
     one; the report carries the k-MST it scored."""
-    _check_cover(d, labels)
+    _check_cover(d.n_points, labels)
     g = kmst(d, k)
     counts = edge_counts(g, labels)
     moments = null_moments(g, labels.n, labels.m)
@@ -242,14 +238,6 @@ def ecd(
 
 # --- seeds, random streams and permutation oracles --------------------------
 
-def _integer(value, name: str) -> int:
-    """value as an int by operator.index; anything else raises InvalidSpec."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
-
-
 def _seed(value) -> int:
     """The one seed rule: a non-negative integer by operator.index, else InvalidSpec."""
     seed = _integer(value, "seed")
@@ -276,13 +264,13 @@ def permutation_samples(
     trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidTrials(f"need at least 1 trial, got {trials}")
-    if g.n_nodes != n + m:
-        raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {n + m}")
+    labels = PooledLabels(n, m)
+    _check_cover(g.n_nodes, labels)
     out = np.empty((trials, 2), dtype=np.float64)
     for t in range(trials):
-        perm = _stream(seed, t).permutation(n + m)
-        in_first = np.zeros(n + m, dtype=bool)
-        in_first[perm[:n]] = True
+        perm = _stream(seed, t).permutation(labels.n_total)
+        in_first = np.zeros(labels.n_total, dtype=bool)
+        in_first[perm[:labels.n]] = True
         out[t] = _within_counts(g.ei, g.ej, in_first)
     return out
 
@@ -303,12 +291,11 @@ def exhaustive_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
     Population covariance over the full enumeration; feasible for small
     node counts only.
     """
-    big_n = n + m
-    if g.n_nodes != big_n:
-        raise SizeMismatch(f"graph has {g.n_nodes} nodes, labels cover {big_n}")
+    labels = PooledLabels(n, m)
+    _check_cover(g.n_nodes, labels)
     rows = []
-    for subset in itertools.combinations(range(big_n), n):
-        in_first = np.zeros(big_n, dtype=bool)
+    for subset in itertools.combinations(range(labels.n_total), labels.n):
+        in_first = np.zeros(labels.n_total, dtype=bool)
         in_first[list(subset)] = True
         rows.append(_within_counts(g.ei, g.ej, in_first))
     return _sample_moments(g, np.array(rows, dtype=np.float64), ddof=0)
@@ -410,7 +397,7 @@ def ecd_subsampled_from_distances(
     set and rescores the induced submatrix.
     """
     _check_rounds(rounds)  # a bad round count is reported before a bad split
-    _check_cover(d, labels)
+    _check_cover(d.n_points, labels)
     b_rows = np.arange(labels.n, labels.n_total)
 
     def pooled(idx):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecd import _integer, _seed, _stream, ecd, ecd_from_distances
+from .ecd import _seed, _stream, ecd, ecd_from_distances
 from .errors import InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet, PooledLabels, _decode_error, pairwise_distances
+from .metricspace import FeatureSet, PooledLabels, _decode_error, _integer, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
 from .spanning import DEFAULT_K
 

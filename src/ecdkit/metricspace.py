@@ -12,8 +12,9 @@ array ever held is the result.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -30,6 +31,7 @@ from .errors import (
     SchemaError,
     SizeMismatch,
 )
+from .numerics import _as_symmetric
 
 METRICS = ("euclidean", "squared_euclidean")
 
@@ -84,13 +86,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise NonSquareError(f"distance matrix must be square, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput("distances must be finite")
-        if not np.array_equal(v, v.T):
-            raise AsymmetryError("distance matrix must be exactly symmetric")
+        v = _as_symmetric(self.values)
         if np.any(np.diagonal(v) != 0.0):
             raise NonzeroDiagonalError("distance matrix diagonal must be exactly zero")
         if np.any(v < 0.0):
@@ -108,27 +104,43 @@ def _by_construction(values: np.ndarray) -> DistanceMatrix:
     Only for matrices the library builds that way: the pooled matrix of
     :func:`pairwise_distances`, whose every pair is computed once and
     written to both of its entries, with a zero diagonal and finite
-    entries checked strip by strip, or a symmetric gather
-    ``v[np.ix_(r, r)]`` of a valid matrix. The checks of
-    ``__post_init__`` are skipped, since they could not fail.
+    entries checked strip by strip; a symmetric gather
+    ``v[np.ix_(r, r)]`` of a valid matrix; and the repaired matrix of
+    :func:`validate_distance_matrix`, ``(a + a.T) / 2`` (IEEE addition
+    commutes) with a zeroed diagonal, negatives clipped and finiteness
+    checked. ``__post_init__``'s checks could not fail and are skipped.
     """
     d = object.__new__(DistanceMatrix)
     object.__setattr__(d, "values", values)
     return d
 
 
+def _integer(value, name: str) -> int:
+    """value as an int by operator.index; anything else raises InvalidSpec."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PooledLabels:
-    """Split of a pooled matrix: the first `n` rows form the first set."""
+    """Split of a pooled matrix: the first `n` rows form the first set.
+
+    The one split rule: `n` and `m` are integers by ``operator.index``
+    (else InvalidSpec), stored as ``int``, and each is at least 2 (else
+    SizeMismatch). Every function that takes a split checks it here.
+    """
 
     n: int
     m: int
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 2:
-            raise SizeMismatch(
-                f"each set needs at least 2 points, got sizes ({self.n}, {self.m})"
-            )
+        n, m = _integer(self.n, "n"), _integer(self.m, "m")
+        if n < 2 or m < 2:
+            raise SizeMismatch(f"each set needs at least 2 points, got sizes ({n}, {m})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     @property
     def split_index(self) -> int:
@@ -224,7 +236,10 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     sym /= 2.0
     np.fill_diagonal(sym, 0.0)
     np.clip(sym, 0.0, None, out=sym)
-    return DistanceMatrix(sym)
+    # two finite entries near the float64 maximum can sum to inf
+    if not np.isfinite(sym.max(initial=0.0)):
+        raise NonFiniteInput("distances must be finite")
+    return _by_construction(sym)
 
 
 # --- file ingestion ---------------------------------------------------------

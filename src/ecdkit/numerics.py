@@ -4,10 +4,10 @@ Symmetric eigendecomposition, the PSD matrix square root built on it, and
 the explicit 2x2 quadratic form used by the edge-count statistic. The
 eigensolver reduces the matrix to tridiagonal form with Householder
 reflectors (elementwise numpy and `np.einsum` without `optimize`), then
-solves the tridiagonal with LAPACK's implicit QL/QR (`dstev`, or `dsterf`
-when only eigenvalues are needed; Golub & Van Loan, Matrix Computations,
-section 8.3). None of these calls threaded BLAS, so the bits do not depend
-on the linked BLAS's thread count or on a surrounding thread pool.
+solves the tridiagonal with LAPACK's implicit QL/QR (`dstev`, which runs
+`dsterf` itself for eigenvalues alone; Golub & Van Loan, Matrix
+Computations, section 8.3). None of these calls threaded BLAS, so the bits
+do not depend on the linked BLAS's thread count or a surrounding pool.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _eig(a: np.ndarray, vectors: bool):
     `vectors`, the eigenvector matrix (columns), else None.
 
     Householder tridiagonalisation in numpy, then LAPACK's implicit QL/QR
-    on the tridiagonal (dstev, or dsterf for eigenvalues only). Neither
-    step calls threaded BLAS, so the bits do not depend on a thread count.
+    on the tridiagonal (dstev). Neither step calls threaded BLAS, so the
+    bits do not depend on a thread count.
     """
     d = a.shape[0]
     if d < 2:
@@ -91,10 +91,7 @@ def _eig(a: np.ndarray, vectors: bool):
     amax = float(np.max(np.abs(a)))
     shift = math.frexp(amax)[1] if amax > 0.0 else 0
     diag, off, reflectors = _tridiagonalize(np.ldexp(a, -shift))
-    if vectors:
-        w, z, info = lapack.dstev(diag, off, compute_v=1)
-    else:
-        (w, info), z = lapack.dsterf(diag, off), None
+    w, z, info = lapack.dstev(diag, off, compute_v=int(vectors))
     if info > 0:
         raise NoConvergence(f"tridiagonal QL failed to converge ({info} off-diagonal entries left)")
     w = np.ldexp(w, shift)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    AsymmetryError,
     DimensionMismatch,
     EmptySet,
     NegativeDistanceError,
@@ -25,7 +24,7 @@ from .errors import (
     TooFewSamples,
 )
 from .metricspace import FeatureSet, cross_distances
-from .numerics import _psd_sqrt_trace, psd_sqrt
+from .numerics import _as_symmetric, _psd_sqrt_trace, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,9 @@ class GaussianSummary:
             raise DimensionMismatch(
                 f"mean of size {mu.shape} does not match covariance {cov.shape}"
             )
-        if not np.array_equal(cov, cov.T):
-            raise AsymmetryError("covariance must be symmetric")
+        _as_symmetric(cov)
+        if not np.all(np.isfinite(mu)):
+            raise NonFiniteInput("mean entries must be finite")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "covariance", cov)
 

@@ -283,6 +283,13 @@ def test_validate_distance_matrix_rejects_gross_violations():
         validate_distance_matrix(np.array([[0.0, -0.5], [-0.5, 0.0]]))
 
 
+def test_validate_distance_matrix_rejects_overflowing_symmetrization():
+    # symmetric and finite, but each entry plus its mirror overflows to inf
+    raw = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+    with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
+        validate_distance_matrix(raw)
+
+
 def test_validate_distance_matrix_checks_tolerance(tmp_path):
     asym = np.array([[0.0, 1.0, 5.0], [3.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
     for bad in (np.nan, -1e-9):

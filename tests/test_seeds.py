@@ -1,8 +1,8 @@
 """One seed rule at every seeded entry point: a seed is a non-negative
 integer by operator.index; anything else raises InvalidSpec (CLI exit 2)
 before any distance, graph, trial or experiment cell is computed. Sample
-counts, trials, rounds, subsample sizes and worker counts are integers by
-the same test, and a worker count is at least 1."""
+counts, trials, rounds, subsample and split sizes and worker counts are
+integers by the same test, and a worker count is at least 1."""
 
 import csv
 import importlib
@@ -16,11 +16,15 @@ from ecdkit import (
     FeatureSet,
     InvalidSpec,
     PooledLabels,
+    SizeMismatch,
     derive_seed,
     distribution_grid,
+    ecd_from_distances,
     ecd_subsampled,
     ecd_subsampled_from_distances,
+    exhaustive_moments,
     kmst,
+    null_moments,
     pairwise_distances,
     permutation_moments,
     permutation_samples,
@@ -107,6 +111,11 @@ BAD_COUNTS = {
         dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=2.5
     ),
     "distribution_grid": lambda x: distribution_grid(dim=2, n=8, k=1, seed=0, workers=2.5),
+    "PooledLabels-float": lambda x: PooledLabels(2.5, 6),
+    "PooledLabels-np.float64": lambda x: PooledLabels(np.float64(10.0), 6),
+    "null_moments-n": lambda x: null_moments(x["g"], 10.0, 6),
+    "permutation_samples-n": lambda x: permutation_samples(x["g"], "10", 6, trials=2, seed=0),
+    "exhaustive_moments": lambda x: exhaustive_moments(x["g"], 2.5, 13.5),
 }
 
 
@@ -177,10 +186,23 @@ def test_cli_rejects_workers_below_one_before_any_work(command, workers, inputs,
     assert not (tmp_path / "out").exists()
 
 
+def test_split_below_two_per_side_raises_size_mismatch(inputs, calls):
+    g = inputs["g"]
+    with pytest.raises(SizeMismatch):
+        permutation_samples(g, -1, 17, trials=2, seed=0)
+    with pytest.raises(SizeMismatch):
+        exhaustive_moments(g, 1, 15)
+    assert calls == []
+
+
 def test_integer_counts_of_any_type_run(inputs):
     assert np.array_equal(sample(SPEC, True, 0).points, sample(SPEC, 1, 0).points)
     rep = ecd_subsampled(inputs["a"], inputs["b"], k=1, rounds=np.int64(2), seed=0)
     assert type(rep.subsample_rounds) is int and rep.subsample_rounds == 2
+    rep = ecd_from_distances(inputs["d"], PooledLabels(np.int64(10), np.int8(6)), k=1)
+    assert type(rep.n) is int and type(rep.m) is int
+    plain = ecd_from_distances(inputs["d"], PooledLabels(10, 6), k=1)
+    assert json.dumps(rep.to_json_dict()) == json.dumps(plain.to_json_dict())
     table = variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1, seed=0, workers=np.int8(2))
     assert table.rows == variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1, seed=0).rows
 

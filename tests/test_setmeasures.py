@@ -12,6 +12,7 @@ from ecdkit import (
     FeatureSet,
     GaussianSummary,
     NegativeDistanceError,
+    NonFiniteInput,
     NotPSD,
     TooFewSamples,
     coverage,
@@ -121,6 +122,15 @@ class TestFitGaussian:
         cov = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(AsymmetryError):
             GaussianSummary(mean=np.zeros(2), covariance=cov, sample_count=5)
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([np.inf, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-mean", "nan-covariance"])
+    def test_non_finite_summary_rejected(self, mean, cov):
+        with pytest.raises(NonFiniteInput):
+            GaussianSummary(mean=np.array(mean), covariance=np.array(cov), sample_count=5)
 
 
 class TestFrechet:
