@@ -137,16 +137,18 @@ class EcdReport:
 def edge_counts(g: SpanningGraph, labels: PooledLabels) -> EdgeCounts:
     """Classify graph edges by the side of the split their endpoints fall on."""
     _check_cover(g.n_nodes, labels)
-    in_first = np.arange(g.n_nodes) < labels.split_index
-    r1, r2 = _within_counts(g.ei, g.ej, in_first)
+    r1, r2 = _within_counts(g, np.arange(labels.n))
     return EdgeCounts(r1=r1, r2=r2, r12=g.n_edges - r1 - r2)
 
 
-def _within_counts(ei: np.ndarray, ej: np.ndarray, in_first: np.ndarray) -> tuple:
-    """(R1, R2) of the edges (ei, ej): both endpoints in the first set, or
-    both outside it, where in_first is the per-node membership mask."""
-    a_i = in_first[ei]
-    a_j = in_first[ej]
+def _within_counts(g: SpanningGraph, first) -> tuple:
+    """(R1, R2) of g's edges: both endpoints in the first set, or both
+    outside it, where first holds the first set's node indices. The one
+    counting kernel of the observed split and of every relabeling."""
+    in_first = np.zeros(g.n_nodes, dtype=bool)
+    in_first[np.asarray(first)] = True
+    a_i = in_first[g.ei]
+    a_j = in_first[g.ej]
     return int(np.sum(a_i & a_j)), int(np.sum(~a_i & ~a_j))
 
 
@@ -269,9 +271,7 @@ def permutation_samples(
     out = np.empty((trials, 2), dtype=np.float64)
     for t in range(trials):
         perm = _stream(seed, t).permutation(labels.n_total)
-        in_first = np.zeros(labels.n_total, dtype=bool)
-        in_first[perm[:labels.n]] = True
-        out[t] = _within_counts(g.ei, g.ej, in_first)
+        out[t] = _within_counts(g, perm[:labels.n])
     return out
 
 
@@ -293,11 +293,8 @@ def exhaustive_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
     """
     labels = PooledLabels(n, m)
     _check_cover(g.n_nodes, labels)
-    rows = []
-    for subset in itertools.combinations(range(labels.n_total), labels.n):
-        in_first = np.zeros(labels.n_total, dtype=bool)
-        in_first[list(subset)] = True
-        rows.append(_within_counts(g.ei, g.ej, in_first))
+    splits = itertools.combinations(range(labels.n_total), labels.n)
+    rows = [_within_counts(g, subset) for subset in splits]
     return _sample_moments(g, np.array(rows, dtype=np.float64), ddof=0)
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ecd import _seed, _stream, ecd, ecd_from_distances
-from .errors import InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet, PooledLabels, _decode_error, _integer, pairwise_distances
+from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
+from .metricspace import FeatureSet, PooledLabels, _integer, _records, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
 from .spanning import DEFAULT_K
 
@@ -40,11 +40,6 @@ DEFAULT_SWEEP_DIMS = (1, 10, 100, 1000)
 DEFAULT_SWEEP_N = 500
 DEFAULT_GRID_DIM = 100
 DEFAULT_GRID_N = 1000
-
-CSV_HEADER = (
-    "experiment_id", "kind_a", "kind_b", "dim", "variance_a",
-    "measure_name", "value", "seed", "n", "m", "k",
-)
 
 #: Half-width of U[-a, a] with unit variance: a^2/3 = 1.
 UNIFORM_HALF_WIDTH = float(np.sqrt(3.0))
@@ -115,6 +110,10 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One measure of one configuration. The fields, in order, are the CSV
+    columns, and a field's type is how it is checked, written and parsed:
+    int by operator.index (seed by the seed rule), float by float()."""
+
     experiment_id: str
     kind_a: str
     kind_b: str
@@ -128,15 +127,24 @@ class ExperimentRow:
     k: int
 
     def __post_init__(self):
+        # plain int and float so CSV rendering is repr-stable
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                value = float(value)
+            elif f.type == "int":
+                value = _seed(value) if f.name == "seed" else _integer(value, f.name)
+            object.__setattr__(self, f.name, value)
         if not np.isfinite(self.value):
             raise NonFiniteInput(
                 f"measure {self.measure_name} produced non-finite value {self.value}"
             )
-        # lock scalar types so CSV rendering is repr-stable
-        for name in ("dim", "seed", "n", "m", "k"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "variance_a", float(self.variance_a))
-        object.__setattr__(self, "value", float(self.value))
+
+
+_FIELDS = fields(ExperimentRow)
+CSV_HEADER = tuple(f.name for f in _FIELDS)
+#: How a CSV field is read back as its column's type.
+_PARSE = {"str": str, "int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -163,37 +171,28 @@ class ExperimentTable:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in self.rows:
+                # repr is a float's shortest round-trip form
                 writer.writerow([
-                    r.experiment_id, r.kind_a, r.kind_b, str(r.dim),
-                    repr(r.variance_a), r.measure_name, repr(r.value),
-                    str(r.seed), str(r.n), str(r.m), str(r.k),
+                    (repr if f.type == "float" else str)(getattr(r, f.name)) for f in _FIELDS
                 ])
 
     @classmethod
     def from_csv(cls, path) -> "ExperimentTable":
+        """Table written by to_csv. Blank lines are skipped; any other line
+        ExperimentRow rejects raises SchemaError naming the path and line."""
         rows = []
         with open(path, newline="") as fh:
-            try:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or tuple(header) != CSV_HEADER:
-                    raise SchemaError(f"{path}: expected header {','.join(CSV_HEADER)}")
-                for lineno, rec in enumerate(reader, start=2):
-                    if not rec:
-                        continue
-                    if len(rec) != len(CSV_HEADER):
-                        raise SchemaError(f"{path}: line {lineno} has {len(rec)} fields")
-                    try:
-                        rows.append(ExperimentRow(
-                            experiment_id=rec[0], kind_a=rec[1], kind_b=rec[2],
-                            dim=int(rec[3]), variance_a=float(rec[4]),
-                            measure_name=rec[5], value=float(rec[6]),
-                            seed=int(rec[7]), n=int(rec[8]), m=int(rec[9]), k=int(rec[10]),
-                        ))
-                    except ValueError as exc:
-                        raise SchemaError(f"{path}: line {lineno}: {exc}") from None
-            except UnicodeDecodeError:
-                raise _decode_error(path, fh) from None
+            records = _records(fh, path)
+            _, header = next(records, (None, None))
+            if header is None or tuple(header) != CSV_HEADER:
+                raise SchemaError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            for lineno, rec in records:
+                if len(rec) != len(CSV_HEADER):
+                    raise SchemaError(f"{path}: line {lineno} has {len(rec)} fields")
+                try:
+                    rows.append(ExperimentRow(*(_PARSE[f.type](v) for f, v in zip(_FIELDS, rec))))
+                except (ValueError, InputError) as exc:
+                    raise SchemaError(f"{path}: line {lineno}: {exc}") from None
         if not rows:
             raise SchemaError(f"{path}: no data rows")
         return cls(rows=tuple(rows))
@@ -204,50 +203,45 @@ def default_sweep_variances() -> tuple:
     return tuple((50 + 5 * i) / 100 for i in range(21))
 
 
+def _pair(base_seed, exp, kind_a, kind_b, dim, var_a, n) -> tuple:
+    """A cell's two sets of n points, kind_b at unit variance, each seeded
+    from the cell's coordinates."""
+    cell = (base_seed, exp, dim, var_a, kind_a, kind_b)
+    a = sample(DistributionSpec(kind_a, dim, var_a), n, derive_seed(*cell, "A"))
+    b = sample(DistributionSpec(kind_b, dim, 1.0), n, derive_seed(*cell, "B"))
+    return a, b
+
+
+def _rows(base_seed, exp, kind_a, kind_b, dim, var_a, n, k, measures) -> list:
+    """One ExperimentRow per (measure name, value) of a cell of n + n points."""
+    return [
+        ExperimentRow(exp, kind_a, kind_b, dim, var_a, name, value, base_seed, n, n, k)
+        for name, value in measures
+    ]
+
+
 def _sweep_cell(args) -> list:
     base_seed, dim, var, n, k = args
-    exp = "variance-sweep"
-    seed_a = derive_seed(base_seed, exp, dim, var, "gaussian", "gaussian", "A")
-    seed_b = derive_seed(base_seed, exp, dim, var, "gaussian", "gaussian", "B")
-    a = sample(DistributionSpec("gaussian", dim, var), n, seed_a)
-    b = sample(DistributionSpec("gaussian", dim, 1.0), n, seed_b)
+    cell = (base_seed, "variance-sweep", "gaussian", "gaussian", dim, var, n)
+    a, b = _pair(*cell)
     # one pooled matrix; its cross block is bitwise cross_distances(a, b)
     d = pairwise_distances(a, b)
     near = measures_from_cross(d.values[:n, n:])
-    triples = [
+    return _rows(*cell, k, [
         ("ECD", ecd_from_distances(d, PooledLabels(n, n), k).statistic),
         ("COV", near.coverage),
         ("MMD", near.mmd),
-    ]
-    return [
-        ExperimentRow(
-            experiment_id=exp, kind_a="gaussian", kind_b="gaussian", dim=dim,
-            variance_a=var, measure_name=name, value=val,
-            seed=base_seed, n=n, m=n, k=k,
-        )
-        for name, val in triples
-    ]
+    ])
 
 
 def _grid_cell(args) -> list:
     base_seed, kind_a, kind_b, dim, n, k = args
-    exp = "distribution-grid"
-    seed_a = derive_seed(base_seed, exp, dim, 1.0, kind_a, kind_b, "A")
-    seed_b = derive_seed(base_seed, exp, dim, 1.0, kind_a, kind_b, "B")
-    a = sample(DistributionSpec(kind_a, dim, 1.0), n, seed_a)
-    b = sample(DistributionSpec(kind_b, dim, 1.0), n, seed_b)
-    pairs = [
+    cell = (base_seed, "distribution-grid", kind_a, kind_b, dim, 1.0, n)
+    a, b = _pair(*cell)
+    return _rows(*cell, k, [
         ("ECD", ecd(a, b, k).statistic),
         ("FID", frechet_gaussian(fit_gaussian(a), fit_gaussian(b))),
-    ]
-    return [
-        ExperimentRow(
-            experiment_id=exp, kind_a=kind_a, kind_b=kind_b, dim=dim,
-            variance_a=1.0, measure_name=name, value=val,
-            seed=base_seed, n=n, m=n, k=k,
-        )
-        for name, val in pairs
-    ]
+    ])
 
 
 def _run_cells(fn, configs, workers):

@@ -232,7 +232,8 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     low = np.min(arr) if arr.size else 0.0
     if low < -tolerance:
         raise NegativeDistanceError(f"min entry {low:g} below -tolerance {-tolerance:g}")
-    sym = np.add(arr, arr.T, out=scratch)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sym = np.add(arr, arr.T, out=scratch)
     sym /= 2.0
     np.fill_diagonal(sym, 0.0)
     np.clip(sym, 0.0, None, out=sym)
@@ -253,15 +254,12 @@ def _read_csv(path, header: bool) -> np.ndarray:
     alone decides what else is accepted and how each rejection reads.
     """
     with open(path, newline="") as fh:
-        try:
-            if fh.seekable():  # the exact parser may have to read it again
-                values = _read_fast(fh)
-                if values is not None:
-                    return values
-                fh.seek(0)
-            return _read_exact(fh, path, header)
-        except UnicodeDecodeError:
-            raise _decode_error(path, fh) from None
+        if fh.seekable():  # the exact parser may have to read it again
+            values = _read_fast(fh)
+            if values is not None:
+                return values
+            fh.seek(0)
+        return _read_exact(fh, path, header)
 
 
 def _read_fast(fh) -> np.ndarray | None:
@@ -289,9 +287,7 @@ def _read_exact(fh, path, header: bool) -> np.ndarray:
     """The rows of fh by the csv module and float(): the reference parse."""
     rows: list[list[float]] = []
     first_line = ragged = None
-    for lineno, rec in enumerate(csv.reader(fh), start=1):
-        if not rec or all(f.strip() == "" for f in rec):
-            continue
+    for lineno, rec in _records(fh, path):
         if header:
             header = False
             try:
@@ -316,19 +312,26 @@ def _read_exact(fh, path, header: bool) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _decode_error(path, fh) -> SchemaError:
-    """SchemaError for a file that fh's encoding cannot decode. The decoder
-    counts offsets from the chunk it was handed, so a seekable file is
-    decoded again whole to place the first bad byte."""
-    where = ""
-    if fh.seekable():
-        fh.buffer.seek(0)
-        data = fh.buffer.read()
-        try:
-            data.decode(fh.encoding)
-        except UnicodeDecodeError as exc:
-            where = f": byte {data[exc.start]:#04x} at offset {exc.start}"
-    return SchemaError(f"{path}: not valid {fh.encoding} text{where}")
+def _records(fh, path):
+    """(line number, fields) of each CSV record of fh that has a non-blank
+    field: the one record reader of numeric files and experiment tables.
+    Bytes fh's encoding cannot decode raise SchemaError."""
+    try:
+        for lineno, rec in enumerate(csv.reader(fh), start=1):
+            if any(f.strip() for f in rec):
+                yield lineno, rec
+    except UnicodeDecodeError:
+        # the decoder counts offsets from the chunk it was handed, so a
+        # seekable file is decoded again whole to place the first bad byte
+        where = ""
+        if fh.seekable():
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+            try:
+                data.decode(fh.encoding)
+            except UnicodeDecodeError as exc:
+                where = f": byte {data[exc.start]:#04x} at offset {exc.start}"
+        raise SchemaError(f"{path}: not valid {fh.encoding} text{where}") from None
 
 
 def load_feature_csv(path) -> FeatureSet:

@@ -1,5 +1,7 @@
 """Seeded experiment runners and their CSV table format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,14 @@ class TestDeriveSeed:
             assert 0 <= v < 2**64
 
 
+ROW = dict(
+    experiment_id="variance-sweep", kind_a="gaussian", kind_b="gaussian", dim=3,
+    variance_a=1.5, measure_name="ECD", value=2.0, seed=0, n=10, m=10, k=1,
+)
+HEADER = "experiment_id,kind_a,kind_b,dim,variance_a,measure_name,value,seed,n,m,k\n"
+LINE = "variance-sweep,gaussian,gaussian,3,1.5,ECD,2.0,0,10,10,1\n"
+
+
 class TestExperimentRow:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
@@ -134,6 +144,17 @@ class TestExperimentRow:
         assert type(row.dim) is int
         assert type(row.variance_a) is float
         assert type(row.value) is float
+
+    @pytest.mark.parametrize("field, bad", [
+        ("dim", 2.5), ("dim", "3"), ("k", 1.5), ("n", "10"), ("seed", -1), ("seed", 1.5),
+    ], ids=repr)
+    def test_int_columns_take_integers_only(self, field, bad):
+        with pytest.raises(InvalidSpec, match=field):
+            ExperimentRow(**{**ROW, field: bad})
+
+    def test_float_columns_take_float_of_the_value(self):
+        row = ExperimentRow(**{**ROW, "value": "2"})
+        assert type(row.value) is float and row.value == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +330,23 @@ class TestTableSerialization:
         )
         with pytest.raises(SchemaError):
             ExperimentTable.from_csv(path)
+
+    @pytest.mark.parametrize("column, bad", [
+        (6, "nan"), (7, "-1"), (3, "2.5"), (4, "x"),
+    ], ids=["nan-value", "negative-seed", "float-dim", "text-variance"])
+    def test_from_csv_names_path_and_line_of_a_rejected_row(self, tmp_path, column, bad):
+        parts = LINE.rstrip("\n").split(",")
+        parts[column] = bad
+        path = tmp_path / "table.csv"
+        path.write_text(HEADER + ",".join(parts) + "\n" + LINE)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: line 2: "):
+            ExperimentTable.from_csv(path)
+
+    def test_from_csv_skips_blank_and_whitespace_lines(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("\n" + HEADER + "  \n" + LINE + " , \n\n" + LINE)
+        table = ExperimentTable.from_csv(path)
+        assert table.rows == (ExperimentRow(**ROW),) * 2
 
     def test_values_filter(self, tiny_grid):
         vals = tiny_grid.values("ECD")

@@ -283,6 +283,7 @@ def test_validate_distance_matrix_rejects_gross_violations():
         validate_distance_matrix(np.array([[0.0, -0.5], [-0.5, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_validate_distance_matrix_rejects_overflowing_symmetrization():
     # symmetric and finite, but each entry plus its mirror overflows to inf
     raw = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
