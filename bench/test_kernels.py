@@ -1,5 +1,6 @@
 """Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
-null-moment and CSV-ingest kernels, and of one whole `ecd` comparison.
+null-moment and CSV-ingest kernels, of one whole `ecd` comparison, and of
+the two experiment runners at one and two workers.
 
 Run from the repository root with
 
@@ -23,6 +24,7 @@ from ecdkit import (
     DistributionSpec,
     FeatureSet,
     PooledLabels,
+    distribution_grid,
     ecd,
     edge_counts,
     fit_gaussian,
@@ -33,6 +35,7 @@ from ecdkit import (
     null_moments,
     pairwise_distances,
     sample,
+    variance_sweep,
 )
 from ecdkit.numerics import sym_eig
 
@@ -139,3 +142,21 @@ def test_load_feature_csv_2000_dim_100(benchmark, tmp_path_factory):
     path = write_csv(tmp_path_factory.mktemp("ingest") / "f.csv", points)
     fs = benchmark.pedantic(load_feature_csv, (path,), rounds=5)
     assert np.array_equal(fs.points, points)
+
+
+# Runner threads overlap only sampling and pooled distances; scoring takes
+# turns. Comparing the workers=1 and workers=2 cases shows what the second
+# thread buys (set OPENBLAS_NUM_THREADS=1 so BLAS adds no threads of its own).
+@pytest.mark.parametrize("workers", [1, 2])
+def test_distribution_grid_dim_100(benchmark, workers):
+    table = benchmark.pedantic(distribution_grid, kwargs={
+        "dim": 100, "n": 500, "k": 10, "seed": 0, "workers": workers}, rounds=3)
+    assert len(table) == 12
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_variance_sweep_dim_1000(benchmark, workers):
+    table = benchmark.pedantic(variance_sweep, kwargs={
+        "dims": (1000,), "variances": (0.5, 1.0, 1.5), "n": 500, "k": 10, "seed": 0,
+        "workers": workers}, rounds=3)
+    assert len(table) == 9

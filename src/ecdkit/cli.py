@@ -159,6 +159,12 @@ def _parse_dims(text: str):
     return dims
 
 
+_WORKERS_HELP = (
+    "runner threads, at least 1; they overlap sampling and pooled distances, "
+    "while scoring (k-MST, moments, Fréchet) runs one cell at a time"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecdkit",
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, default=DEFAULT_K)
     ps.add_argument("--dims", type=_parse_dims, default=DEFAULT_SWEEP_DIMS,
                     metavar="D1,D2,...")
-    ps.add_argument("--workers", type=int, help="thread pool size, at least 1")
+    ps.add_argument("--workers", type=int, help=_WORKERS_HELP)
     ps.set_defaults(func=cmd_sweep)
 
     pg = xsub.add_parser("distribution-grid", help="distribution-pair table")
@@ -212,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--n", type=int, default=DEFAULT_GRID_N, help="points per set")
     pg.add_argument("--k", type=int, default=DEFAULT_K)
     pg.add_argument("--dim", type=int, default=DEFAULT_GRID_DIM)
-    pg.add_argument("--workers", type=int, help="thread pool size, at least 1")
+    pg.add_argument("--workers", type=int, help=_WORKERS_HELP)
     pg.set_defaults(func=cmd_grid)
 
     pp = sub.add_parser("plot", help="render SVG panels from an experiment CSV")

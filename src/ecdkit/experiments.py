@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ecd import _seed, _stream, ecd, ecd_from_distances
+from .ecd import _seed, _stream, ecd_from_distances
 from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
 from .metricspace import FeatureSet, PooledLabels, _integer, _records, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
@@ -63,12 +65,16 @@ class DistributionSpec:
         dim = _integer(self.dim, "dim")
         if dim < 1:
             raise InvalidSpec(f"dim must be at least 1, got {dim}")
-        if not (float(self.variance) > 0.0):
-            raise InvalidSpec(f"variance must be positive, got {self.variance}")
-        if self.kind != "gaussian" and float(self.variance) != 1.0:
+        try:
+            variance = float(self.variance)
+        except (TypeError, ValueError):
+            variance = math.nan
+        if not (0.0 < variance < math.inf):
+            raise InvalidSpec(f"variance must be positive and finite, got {self.variance}")
+        if self.kind != "gaussian" and variance != 1.0:
             raise InvalidSpec(f"{self.kind} distribution is fixed at unit variance")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "variance", variance)
 
 
 def sample(spec: DistributionSpec, count: int, seed: int) -> FeatureSet:
@@ -112,7 +118,8 @@ def derive_seed(base_seed: int, *parts) -> int:
 class ExperimentRow:
     """One measure of one configuration. The fields, in order, are the CSV
     columns, and a field's type is how it is checked, written and parsed:
-    int by operator.index (seed by the seed rule), float by float()."""
+    int by operator.index (seed by the seed rule), float by float() and
+    finite."""
 
     experiment_id: str
     kind_a: str
@@ -132,13 +139,13 @@ class ExperimentRow:
             value = getattr(self, f.name)
             if f.type == "float":
                 value = float(value)
+                if not math.isfinite(value):
+                    raise NonFiniteInput(
+                        f"measure {self.measure_name} has non-finite {f.name} {value}"
+                    )
             elif f.type == "int":
                 value = _seed(value) if f.name == "seed" else _integer(value, f.name)
             object.__setattr__(self, f.name, value)
-        if not np.isfinite(self.value):
-            raise NonFiniteInput(
-                f"measure {self.measure_name} produced non-finite value {self.value}"
-            )
 
 
 _FIELDS = fields(ExperimentRow)
@@ -220,6 +227,13 @@ def _rows(base_seed, exp, kind_a, kind_b, dim, var_a, n, k, measures) -> list:
     ]
 
 
+#: Taken around the stage of a cell that holds the GIL: the k-MST, its
+#: counts and moments, and the grid's Fréchet term. Sampling and the pooled
+#: distances release the GIL and overlap across runner threads; two threads
+#: interleaving Python loops only hand the GIL back and forth and lose to one.
+_SCORING = threading.Lock()
+
+
 def _sweep_cell(args) -> list:
     base_seed, dim, var, n, k = args
     cell = (base_seed, "variance-sweep", "gaussian", "gaussian", dim, var, n)
@@ -227,8 +241,10 @@ def _sweep_cell(args) -> list:
     # one pooled matrix; its cross block is bitwise cross_distances(a, b)
     d = pairwise_distances(a, b)
     near = measures_from_cross(d.values[:n, n:])
+    with _SCORING:
+        report = ecd_from_distances(d, PooledLabels(n, n), k)
     return _rows(*cell, k, [
-        ("ECD", ecd_from_distances(d, PooledLabels(n, n), k).statistic),
+        ("ECD", report.statistic),
         ("COV", near.coverage),
         ("MMD", near.mmd),
     ])
@@ -238,9 +254,13 @@ def _grid_cell(args) -> list:
     base_seed, kind_a, kind_b, dim, n, k = args
     cell = (base_seed, "distribution-grid", kind_a, kind_b, dim, 1.0, n)
     a, b = _pair(*cell)
+    d = pairwise_distances(a, b)
+    with _SCORING:
+        report = ecd_from_distances(d, PooledLabels(n, n), k)
+        fid = frechet_gaussian(fit_gaussian(a), fit_gaussian(b))
     return _rows(*cell, k, [
-        ("ECD", ecd(a, b, k).statistic),
-        ("FID", frechet_gaussian(fit_gaussian(a), fit_gaussian(b))),
+        ("ECD", report.statistic),
+        ("FID", fid),
     ])
 
 
@@ -275,10 +295,9 @@ def variance_sweep(
         raise InvalidSpec(f"sweep needs n >= 4 per set, got {n}")
     if variances is None:
         variances = default_sweep_variances()
-    configs = [
-        (seed, _integer(dim, "dim"), float(var), n, k)
-        for dim in dims for var in variances
-    ]
+    # every cell's law is checked before any cell runs
+    specs = [DistributionSpec("gaussian", dim, var) for dim in dims for var in variances]
+    configs = [(seed, s.dim, s.variance, n, k) for s in specs]
     return ExperimentTable(rows=_run_cells(_sweep_cell, configs, workers))
 
 

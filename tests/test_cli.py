@@ -327,6 +327,17 @@ class TestPlotCommand:
         bad.write_text("not,a,table\n1,2,3\n")
         assert main(["plot", "--table", str(bad), "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_finite_variance_in_table(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "experiment_id,kind_a,kind_b,dim,variance_a,measure_name,value,seed,n,m,k\n"
+            "variance-sweep,gaussian,gaussian,3,inf,ECD,2.0,0,10,10,1\n"
+            "variance-sweep,gaussian,gaussian,3,1.5,ECD,2.0,0,10,10,1\n"
+        )
+        assert main(["plot", "--table", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert f"{bad}: line 2: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*.svg"))
+
     def test_undecodable_table(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"experiment_id,x\n\xff\n")

@@ -1,6 +1,10 @@
 """Seeded experiment runners and their CSV table format."""
 
+import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +50,10 @@ class TestDistributionSpec:
             ("gaussian", 3, -1.0),
             ("uniform", 3, 2.0),
             ("binary", 3, 0.5),
+            ("gaussian", 3, math.inf),
+            ("gaussian", 3, math.nan),
+            ("gaussian", 3, "x"),
+            ("gaussian", 3, None),
         ],
     )
     def test_invalid_specs(self, kind, dim, var):
@@ -134,6 +142,12 @@ class TestExperimentRow:
                 seed=0, n=10, m=10, k=1,
             )
 
+    @pytest.mark.parametrize("field", ["variance_a", "value"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_every_float_column_must_be_finite(self, field, bad):
+        with pytest.raises(NonFiniteInput, match=f"non-finite {field} "):
+            ExperimentRow(**{**ROW, field: bad})
+
     def test_scalar_coercion(self):
         row = ExperimentRow(
             experiment_id="variance-sweep", kind_a="gaussian",
@@ -189,6 +203,65 @@ class TestVarianceSweep:
         tiny_sweep.to_csv(serial_path)
         threaded.to_csv(threaded_path)
         assert serial_path.read_bytes() == threaded_path.read_bytes()
+        # both runners, two seeds: the CSV bytes never depend on the worker count
+        runners = {
+            "sweep": lambda seed, workers: variance_sweep(
+                dims=(2, 3), variances=(0.8, 1.0, 1.3), n=30, k=2, seed=seed, workers=workers
+            ),
+            "grid": lambda seed, workers: distribution_grid(
+                dim=3, n=40, k=2, seed=seed, workers=workers
+            ),
+        }
+        for name, run in runners.items():
+            for seed in (0, 17):
+                written = set()
+                for workers in (1, 2, 4):
+                    path = tmp_path / f"{name}-{seed}-{workers}.csv"
+                    run(seed, workers).to_csv(path)
+                    written.add(path.read_bytes())
+                assert len(written) == 1, (name, seed)
+
+    def test_scoring_never_overlaps(self, monkeypatch):
+        # a slow probe in place of the scorer: with four workers, cells that
+        # reach it together must still enter it one at a time
+        lock = threading.Lock()
+        inside, entries, most = [0], [0], [0]
+        score = experiments.ecd_from_distances
+
+        def probe(*args, **kwargs):
+            with lock:
+                inside[0] += 1
+                entries[0] += 1
+                most[0] = max(most[0], inside[0])
+            try:
+                time.sleep(0.05)
+                return score(*args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(experiments, "ecd_from_distances", probe)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so any overlap shows
+        try:
+            sweep = variance_sweep(dims=(2,), variances=(0.8, 1.0, 1.3, 1.5), n=12, k=1,
+                                   seed=3, workers=4)
+            grid = distribution_grid(dim=2, n=12, k=1, seed=3, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert entries[0] == 4 + len(GRID_PAIRS)
+        assert len(sweep) == 4 * 3 and len(grid) == len(GRID_PAIRS) * 2
+
+    @pytest.mark.parametrize("variances", [
+        (1.0, 1.25, -1.0), (1.0, math.inf), (math.nan,), ("x",), (None,),
+    ], ids=repr)
+    def test_every_variance_is_checked_before_any_cell(self, variances, monkeypatch):
+        cells = []
+        monkeypatch.setattr(experiments, "_sweep_cell", lambda args: cells.append(args) or [])
+        with pytest.raises(InvalidSpec, match="variance must be positive and finite"):
+            variance_sweep(dims=(2, 3), variances=variances, n=8, k=1, seed=0, workers=1)
+        assert cells == []
 
     def test_cells_reproducible_in_isolation(self, tiny_sweep):
         # recompute one cell from scratch with only its coordinates
@@ -332,8 +405,8 @@ class TestTableSerialization:
             ExperimentTable.from_csv(path)
 
     @pytest.mark.parametrize("column, bad", [
-        (6, "nan"), (7, "-1"), (3, "2.5"), (4, "x"),
-    ], ids=["nan-value", "negative-seed", "float-dim", "text-variance"])
+        (6, "nan"), (7, "-1"), (3, "2.5"), (4, "x"), (4, "inf"),
+    ], ids=["nan-value", "negative-seed", "float-dim", "text-variance", "inf-variance"])
     def test_from_csv_names_path_and_line_of_a_rejected_row(self, tmp_path, column, bad):
         parts = LINE.rstrip("\n").split(",")
         parts[column] = bad
