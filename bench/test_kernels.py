@@ -1,6 +1,7 @@
 """Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
-null-moment and CSV-ingest kernels, of one whole `ecd` comparison, and of
-the two experiment runners at one and two workers.
+null-moment and CSV-ingest kernels, of one whole `ecd` comparison, of the
+two experiment runners at one and two workers, and of the CLI: start-up
+and one whole `ecdkit ecd` run, each in a fresh interpreter.
 
 Run from the repository root with
 
@@ -12,10 +13,16 @@ This directory sits outside the test suite's `testpaths`, so a plain
 To compare two checkouts, run this command from inside each one.
 `pyproject.toml` sets pytest's `pythonpath = ["src"]`, which takes
 precedence over `PYTHONPATH`, so pointing `PYTHONPATH` at another
-checkout's `src` still times this checkout's code.
+checkout's `src` still times this checkout's code. That setting does not
+reach child processes, so the CLI cases put this checkout's `src` on the
+child's `PYTHONPATH` themselves.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,9 +137,14 @@ def write_csv(path, values):
     return path
 
 
-def test_load_distance_csv_2000(benchmark, tmp_path_factory):
+@pytest.fixture(scope="module")
+def distance_csv_2000(tmp_path_factory):
     values = pairwise_distances(*pooled("gaussian", 1000, 32)).values
-    path = write_csv(tmp_path_factory.mktemp("ingest") / "d.csv", values)
+    return write_csv(tmp_path_factory.mktemp("ingest") / "d.csv", values), values
+
+
+def test_load_distance_csv_2000(benchmark, distance_csv_2000):
+    path, values = distance_csv_2000
     d = benchmark.pedantic(load_distance_csv, (path,), rounds=3)
     assert np.array_equal(d.values, values)
 
@@ -160,3 +172,24 @@ def test_variance_sweep_dim_1000(benchmark, workers):
         "dims": (1000,), "variances": (0.5, 1.0, 1.5), "n": 500, "k": 10, "seed": 0,
         "workers": workers}, rounds=3)
     assert len(table) == 9
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(*args):
+    """A fresh interpreter running `args` on this checkout's ecdkit."""
+    subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                   stdout=subprocess.DEVNULL, check=True)
+
+
+# The CLI stage: start-up alone, then one whole distance-mode run on the
+# 2000-point matrix, start-up, ingest and scoring included.
+def test_cli_import(benchmark):
+    benchmark.pedantic(run_child, ("-c", "import ecdkit.cli"), rounds=10)
+
+
+def test_cli_ecd_distances_2000(benchmark, distance_csv_2000):
+    path, _ = distance_csv_2000
+    benchmark.pedantic(run_child, ("-m", "ecdkit.cli", "ecd", "--distances", str(path),
+                                   "--split", "1000", "--k", "10"), rounds=3)

@@ -27,7 +27,6 @@ from .experiments import (
     variance_sweep,
 )
 from .metricspace import DistanceMatrix, PooledLabels, load_distance_csv, load_feature_csv
-from .plotting import plot_table
 from .setmeasures import measures_from_cross, measures_from_features
 from .spanning import DEFAULT_K, SpanningGraph
 
@@ -79,8 +78,10 @@ def cmd_ecd(args) -> int:
         a = load_feature_csv(args.set_a)
         b = load_feature_csv(args.set_b)
         n, m = a.n_points, b.n_points
-        metric = args.metric.replace("-", "_")
+        metric = (args.metric or "euclidean").replace("-", "_")
     else:
+        if args.metric is not None:
+            raise InvalidSpec("--metric applies to feature files; a distance matrix is already measured")
         d = load_distance_csv(args.distances)
         labels = _split_labels(d, args.split)
         n, m = labels.n, labels.m
@@ -143,6 +144,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plotting import plot_table
+
     table = ExperimentTable.from_csv(args.table)
     written = plot_table(table, args.out)
     _write_json({"written": written}, None)
@@ -187,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(pe)
     pe.add_argument("--k", type=int, default=DEFAULT_K, help="tree multiplicity")
     pe.add_argument("--metric", choices=["euclidean", "squared-euclidean"],
-                    default="euclidean", help="feature-mode distance")
+                    help="feature-mode distance (default euclidean); "
+                         "rejected with --distances")
     pe.add_argument("--seed", type=int, help="seed for subsampling: a non-negative integer")
     pe.add_argument("--rounds", type=int,
                     help="subsample rounds (default 10 when the first set is larger)")

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     AsymmetryError,
@@ -171,6 +170,9 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
     whole pool gives, and does not depend on any parallel execution
     schedule.
     """
+    # scipy loads on the first distance call: importing ecdkit needs numpy alone
+    from scipy.spatial.distance import cdist, pdist, squareform
+
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)
@@ -193,6 +195,8 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
 
 def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> np.ndarray:
     """|a| x |b| matrix of distances from each a-point to each b-point."""
+    from scipy.spatial.distance import cdist
+
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)

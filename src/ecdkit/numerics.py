@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NonFiniteInput, NonSquareError, AsymmetryError, NoConvergence, NotPSD, SingularCovariance
 
@@ -82,6 +81,8 @@ def _eig(a: np.ndarray, vectors: bool):
     on the tridiagonal (dstev). Neither step calls threaded BLAS, so the
     bits do not depend on a thread count.
     """
+    from scipy.linalg import lapack  # on the first call, as in metricspace
+
     d = a.shape[0]
     if d < 2:
         return a.diagonal().copy(), (np.eye(d) if vectors else None)

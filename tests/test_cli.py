@@ -103,6 +103,17 @@ class TestEcdErrors:
         d = write_distance_matrix(tmp_path / "d.csv", np.zeros((4, 4)))
         assert main(["ecd", "--set-a", a, "--set-b", b, "--distances", d]) == 2
 
+    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
+    def test_metric_with_distances(self, tmp_path, capsys, metric):
+        # the matrix is already measured: a metric would be silently ignored
+        pts = np.array([0.0, 1.0, 10.0, 11.0])
+        d = write_distance_matrix(tmp_path / "d.csv", np.abs(pts[:, None] - pts[None, :]))
+        assert main(["ecd", "--distances", d, "--split", "2", "--k", "1",
+                     "--metric", metric]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--metric" in captured.err
+
     def test_no_mode(self, capsys):
         assert main(["ecd"]) == 2
 
@@ -199,6 +210,19 @@ class TestDumpGraph:
         assert all(r[0] == "1" for r in body)
         weights = sorted(float(r[3]) for r in body)
         assert weights == [1.0, 1.0, 9.0]
+
+    # feature mode measures Euclidean distances unless --metric says otherwise
+    @pytest.mark.parametrize("metric, far", [(None, 9.0), ("euclidean", 9.0),
+                                             ("squared-euclidean", 81.0)])
+    def test_metric_sets_edge_weights(self, pair_files, tmp_path, capsys, metric, far):
+        a, b = pair_files
+        dump = tmp_path / "edges.csv"
+        extra = [] if metric is None else ["--metric", metric]
+        code = main(["ecd", "--set-a", a, "--set-b", b, "--k", "1", *extra,
+                     "--dump-graph", str(dump), "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        with open(dump, newline="") as fh:
+            assert sorted(float(r[3]) for r in list(csv.reader(fh))[1:]) == [1.0, 1.0, far]
 
     def test_layer_count_scales_with_k(self, tmp_path, capsys):
         rng = np.random.default_rng(73)

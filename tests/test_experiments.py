@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 from ecdkit import (
     DistributionSpec,
@@ -281,9 +282,10 @@ class TestVarianceSweep:
 
     def test_cell_computes_distances_once(self, monkeypatch):
         # every pooled pair is computed exactly once, in whatever strips the
-        # pooled matrix is filled; COV and MMD make no cross-distance call
+        # pooled matrix is filled; COV and MMD make no cross-distance call.
+        # metricspace looks the kernels up in scipy at call time
         pairs = []
-        original_pdist, original_cdist = metricspace.pdist, metricspace.cdist
+        original_pdist, original_cdist = distance.pdist, distance.cdist
 
         def pdist(x, *args, **kwargs):
             pairs.append(len(x) * (len(x) - 1) // 2)
@@ -293,8 +295,8 @@ class TestVarianceSweep:
             pairs.append(len(xa) * len(xb))
             return original_cdist(xa, xb, *args, **kwargs)
 
-        monkeypatch.setattr(metricspace, "pdist", pdist)
-        monkeypatch.setattr(metricspace, "cdist", cdist)
+        monkeypatch.setattr(distance, "pdist", pdist)
+        monkeypatch.setattr(distance, "cdist", cdist)
         n = 2 * metricspace._STRIP_ROWS + 30  # the pool spans several strips
         rows = _sweep_cell((5, 3, 1.3, n, 2))
         assert sum(pairs) == 2 * n * (2 * n - 1) // 2

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import distance
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from ecdkit import metricspace
@@ -140,15 +141,16 @@ def test_pairwise_distances_overflow_in_one_block(metric, i, j):
 
 @pytest.mark.parametrize("kernel", ["pdist", "cdist"])
 def test_pairwise_distances_nan_is_not_finite(monkeypatch, kernel):
-    # the check takes the max of each strip: a NaN must not hide under it
-    original = getattr(metricspace, kernel)
+    # the check takes the max of each strip: a NaN must not hide under it;
+    # pairwise_distances looks the kernels up in scipy at call time
+    original = getattr(distance, kernel)
 
     def with_nan(*args, **kwargs):
         out = original(*args, **kwargs)
         out.flat[-1] = np.nan
         return out
 
-    monkeypatch.setattr(metricspace, kernel, with_nan)
+    monkeypatch.setattr(distance, kernel, with_nan)
     pts = np.random.default_rng(10).standard_normal((2 * STRIP + 1, 3))
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
         pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]))

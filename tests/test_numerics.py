@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import ecdkit
-from ecdkit import numerics
 from ecdkit.errors import NoConvergence, NonSquareError, NotPSD, SingularCovariance
 from ecdkit.numerics import _psd_sqrt_trace, psd_sqrt, quadratic_form_2x2, sym_eig
 
@@ -60,14 +60,15 @@ def test_sym_eig_matches_lapack(n):
 
 @pytest.mark.parametrize("vectors", [True, False], ids=["dstev", "dstev-values-only"])
 def test_sym_eig_no_convergence(vectors, monkeypatch):
-    # LAPACK reports info > 0 when QL leaves off-diagonal entries unconverged
-    real = numerics.lapack.dstev
+    # LAPACK reports info > 0 when QL leaves off-diagonal entries unconverged;
+    # the eigensolver looks dstev up in scipy's lapack module at call time
+    real = lapack.dstev
 
     def unconverged(*args, **kwargs):
         *out, _ = real(*args, **kwargs)
         return (*out, 3)
 
-    monkeypatch.setattr(numerics.lapack, "dstev", unconverged)
+    monkeypatch.setattr(lapack, "dstev", unconverged)
     m = binary_covariance(20)
     with pytest.raises(NoConvergence):
         sym_eig(m) if vectors else _psd_sqrt_trace(m)
