@@ -16,7 +16,7 @@ import sys
 
 from .ecd import (DEFAULT_ROUNDS, _seed, ecd, ecd_from_distances, ecd_subsampled,
                   ecd_subsampled_from_distances)
-from .errors import InputError, InvalidSpec, NumericError, SizeMismatch
+from .errors import InputError, InvalidSpec, NumericError
 from .experiments import (
     DEFAULT_GRID_DIM,
     DEFAULT_GRID_N,
@@ -26,11 +26,15 @@ from .experiments import (
     distribution_grid,
     variance_sweep,
 )
-from .metricspace import DistanceMatrix, PooledLabels, load_distance_csv, load_feature_csv
+from .metricspace import FeatureSet, PooledLabels, load_distance_csv, load_feature_csv
 from .setmeasures import measures_from_cross, measures_from_features
-from .spanning import DEFAULT_K, SpanningGraph
+from .spanning import DEFAULT_K, SpanningGraph, _check_k
 
-def _input_mode(args) -> str:
+
+def _load(args) -> tuple:
+    """The two sets to compare: two FeatureSets, or a DistanceMatrix and
+    its PooledLabels(split, N - split). Mode errors, then --metric with
+    --distances, are raised before any file is opened."""
     feature = args.set_a is not None or args.set_b is not None
     distance = args.distances is not None or args.split is not None
     if feature and distance:
@@ -38,21 +42,15 @@ def _input_mode(args) -> str:
     if feature:
         if args.set_a is None or args.set_b is None:
             raise InvalidSpec("feature mode needs both --set-a and --set-b")
-        return "features"
+        return load_feature_csv(args.set_a), load_feature_csv(args.set_b)
     if args.distances is None:
         raise InvalidSpec("provide --set-a/--set-b or --distances with --split")
     if args.split is None:
         raise InvalidSpec("distance mode needs --split")
-    return "distances"
-
-
-def _split_labels(d: DistanceMatrix, split: int) -> PooledLabels:
-    if not 2 <= split <= d.n_points - 2:
-        raise SizeMismatch(
-            f"--split must leave at least 2 points on each side of the "
-            f"{d.n_points}-point matrix, got {split}"
-        )
-    return PooledLabels(n=split, m=d.n_points - split)
+    if args.metric is not None:
+        raise InvalidSpec("--metric applies to feature files; a distance matrix is already measured")
+    d = load_distance_csv(args.distances)
+    return d, PooledLabels(args.split, d.n_points - args.split)
 
 
 def _write_json(payload: dict, out) -> None:
@@ -73,31 +71,22 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
 
 
 def cmd_ecd(args) -> int:
-    features = _input_mode(args) == "features"
-    if features:
-        a = load_feature_csv(args.set_a)
-        b = load_feature_csv(args.set_b)
-        n, m = a.n_points, b.n_points
-        metric = (args.metric or "euclidean").replace("-", "_")
-    else:
-        if args.metric is not None:
-            raise InvalidSpec("--metric applies to feature files; a distance matrix is already measured")
-        d = load_distance_csv(args.distances)
-        labels = _split_labels(d, args.split)
-        n, m = labels.n, labels.m
+    _check_k(args.k)  # before any file is read
+    x, y = _load(args)
+    features = isinstance(x, FeatureSet)
+    n, m = (x.n_points, y.n_points) if features else (y.n, y.m)
+    metric = {} if args.metric is None else {"metric": args.metric.replace("-", "_")}
     if args.rounds is not None or n > m:
         rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
         if args.seed is None:
             raise InvalidSpec("subsampling draws random subsets; provide --seed")
-        if features:
-            rep = ecd_subsampled(a, b, args.k, rounds, args.seed, metric)
-        else:
-            rep = ecd_subsampled_from_distances(d, labels, args.k, rounds, args.seed)
+        run = ecd_subsampled if features else ecd_subsampled_from_distances
+        rep = run(x, y, args.k, rounds, args.seed, **metric)
     else:
         # no library call checks a seed that is only recorded: check it before scoring
         seed = args.seed if args.seed is None else _seed(args.seed)
-        rep = ecd(a, b, args.k, metric) if features else ecd_from_distances(d, labels, args.k)
-        rep = dataclasses.replace(rep, seed=seed)
+        run = ecd if features else ecd_from_distances
+        rep = dataclasses.replace(run(x, y, args.k, **metric), seed=seed)
     if args.dump_graph:
         _dump_graph_csv(rep.graph, args.dump_graph)
     _write_json(rep.to_json_dict(), args.out)
@@ -105,38 +94,19 @@ def cmd_ecd(args) -> int:
 
 
 def cmd_measures(args) -> int:
-    mode = _input_mode(args)
-    if mode == "features":
-        a = load_feature_csv(args.set_a)
-        b = load_feature_csv(args.set_b)
-        result = measures_from_features(a, b)
-        n, m = a.n_points, b.n_points
+    x, y = _load(args)
+    if isinstance(x, FeatureSet):
+        result, n, m = measures_from_features(x, y), x.n_points, y.n_points
     else:
-        d = load_distance_csv(args.distances)
-        labels = _split_labels(d, args.split)
-        result = measures_from_cross(d.values[: labels.n, labels.n :])
-        n, m = labels.n, labels.m
-    payload = result.to_json_dict()
-    payload["n"] = n
-    payload["m"] = m
-    _write_json(payload, args.out)
+        result, n, m = measures_from_cross(x.values[: y.n, y.n :]), y.n, y.m
+    _write_json({**result.to_json_dict(), "n": n, "m": m}, args.out)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    table = variance_sweep(
-        dims=args.dims, n=args.n, k=args.k,
-        seed=args.seed, workers=args.workers,
-    )
-    table.to_csv(args.out)
-    print(f"wrote {len(table)} rows to {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_grid(args) -> int:
-    table = distribution_grid(
-        dim=args.dim, n=args.n, k=args.k,
-        seed=args.seed, workers=args.workers,
+def cmd_experiment(args) -> int:
+    table = args.runner(
+        n=args.n, k=args.k, seed=args.seed, workers=args.workers,
+        **{args.shape: getattr(args, args.shape)},
     )
     table.to_csv(args.out)
     print(f"wrote {len(table)} rows to {args.out}", file=sys.stderr)
@@ -163,8 +133,10 @@ def _parse_dims(text: str):
 
 
 _WORKERS_HELP = (
-    "runner threads, at least 1; they overlap sampling and pooled distances, "
-    "while scoring (k-MST, moments, Fréchet) runs one cell at a time"
+    "runner threads, at least 1 (default 1); they overlap sampling and pooled "
+    "distances, while scoring (k-MST, moments, Fréchet) runs one cell at a time, "
+    "so a second thread speeds up variance-sweep but gains little or nothing "
+    "on distribution-grid"
 )
 
 
@@ -201,29 +173,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("measures", help="coverage / matching distance / frechet (JSON)")
     add_io(pm)
-    pm.set_defaults(func=cmd_measures)
+    pm.set_defaults(func=cmd_measures, metric=None)
 
     px = sub.add_parser("experiment", help="synthetic study runners (CSV)")
     xsub = px.add_subparsers(dest="experiment", required=True)
 
-    ps = xsub.add_parser("variance-sweep", help="gaussian variance sweep table")
-    ps.add_argument("--seed", type=int, required=True)
-    ps.add_argument("--out", required=True, metavar="CSV")
-    ps.add_argument("--n", type=int, default=DEFAULT_SWEEP_N, help="points per set")
-    ps.add_argument("--k", type=int, default=DEFAULT_K)
-    ps.add_argument("--dims", type=_parse_dims, default=DEFAULT_SWEEP_DIMS,
-                    metavar="D1,D2,...")
-    ps.add_argument("--workers", type=int, help=_WORKERS_HELP)
-    ps.set_defaults(func=cmd_sweep)
+    def add_runner(name, summary, runner, n, shape, **shape_spec):
+        # the options every runner takes, with the runner's own shape option
+        # (--dims or --dim) in the middle, where the help lists it
+        sp = xsub.add_parser(name, help=summary)
+        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--out", required=True, metavar="CSV")
+        sp.add_argument("--n", type=int, default=n, help="points per set")
+        sp.add_argument("--k", type=int, default=DEFAULT_K)
+        sp.add_argument(shape, **shape_spec)
+        sp.add_argument("--workers", type=int, help=_WORKERS_HELP)
+        sp.set_defaults(func=cmd_experiment, runner=runner, shape=shape[2:])
 
-    pg = xsub.add_parser("distribution-grid", help="distribution-pair table")
-    pg.add_argument("--seed", type=int, required=True)
-    pg.add_argument("--out", required=True, metavar="CSV")
-    pg.add_argument("--n", type=int, default=DEFAULT_GRID_N, help="points per set")
-    pg.add_argument("--k", type=int, default=DEFAULT_K)
-    pg.add_argument("--dim", type=int, default=DEFAULT_GRID_DIM)
-    pg.add_argument("--workers", type=int, help=_WORKERS_HELP)
-    pg.set_defaults(func=cmd_grid)
+    add_runner("variance-sweep", "gaussian variance sweep table", variance_sweep,
+               DEFAULT_SWEEP_N, "--dims", type=_parse_dims, default=DEFAULT_SWEEP_DIMS,
+               metavar="D1,D2,...")
+    add_runner("distribution-grid", "distribution-pair table", distribution_grid,
+               DEFAULT_GRID_N, "--dim", type=int, default=DEFAULT_GRID_DIM)
 
     pp = sub.add_parser("plot", help="render SVG panels from an experiment CSV")
     pp.add_argument("--table", required=True, metavar="CSV")
@@ -237,10 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -45,7 +45,7 @@ from .metricspace import (
     pairwise_distances,
 )
 from .numerics import quadratic_form_2x2
-from .spanning import DEFAULT_K, SpanningGraph, degree_statistic, kmst
+from .spanning import DEFAULT_K, SpanningGraph, _check_k, degree_statistic, kmst
 
 #: Number of subsample rounds when the first set is larger than the second.
 DEFAULT_ROUNDS = 10
@@ -225,7 +225,7 @@ def ecd_from_distances(
         ) from None
     return EcdReport(
         statistic=stat, counts=counts, moments=moments,
-        k=int(k), n=labels.n, m=labels.m, graph=g,
+        k=g.k, n=labels.n, m=labels.m, graph=g,
     )
 
 
@@ -233,6 +233,7 @@ def ecd(
     a: FeatureSet, b: FeatureSet, k: int = DEFAULT_K, metric: str = "euclidean"
 ) -> EcdReport:
     """Full pipeline: pooled distances, k-MST, edge counts, statistic."""
+    _check_k(k)  # before the pooled matrix is computed
     d = pairwise_distances(a, b, metric)
     labels = PooledLabels(n=a.n_points, m=b.n_points)
     return ecd_from_distances(d, labels, k)
@@ -336,13 +337,15 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> 
     followed by all m rows of the second set. Round r draws idx from a
     generator seeded by (seed, r); the report keeps the first round's
     graph, counts and moments and the mean statistic across rounds.
-    Callers check the round count first.
+    Callers check the round count first; the size, the seed and k are
+    checked here, in that order, before round 0.
     """
     if n_large < m:
         raise GeneratedSetTooSmall(
             f"first set has {n_large} points, cannot subsample to {m}"
         )
     seed = _seed(seed)
+    _check_k(k)
     total = 0.0
     for r in range(rounds):
         # with equal sizes every round draws the whole first set, so the

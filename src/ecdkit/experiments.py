@@ -24,7 +24,7 @@ from .ecd import _seed, _stream, ecd_from_distances
 from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
 from .metricspace import FeatureSet, PooledLabels, _integer, _records, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
-from .spanning import DEFAULT_K
+from .spanning import DEFAULT_K, _check_k
 
 KINDS = ("gaussian", "uniform", "binary")
 
@@ -265,16 +265,15 @@ def _grid_cell(args) -> list:
 
 
 def _run_cells(fn, configs, workers):
+    """fn over configs on one pool of `workers` threads (1 when None): the
+    calling thread runs no cell at any count."""
     workers = 1 if workers is None else _integer(workers, "workers")
     if workers < 1:
         raise InvalidSpec(f"workers must be at least 1, got {workers}")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map() yields results in submission order, so the table
-            # layout never depends on completion order
-            chunks = list(pool.map(fn, configs))
-    else:
-        chunks = [fn(c) for c in configs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # map() yields results in submission order, so the table
+        # layout never depends on completion order
+        chunks = list(pool.map(fn, configs))
     return tuple(row for chunk in chunks for row in chunk)
 
 
@@ -290,7 +289,8 @@ def variance_sweep(
 
     The second set is always unit-variance gaussian of the same dim.
     """
-    n, k, seed = _integer(n, "n"), _integer(k, "k"), _seed(seed)
+    n, _, seed = _integer(n, "n"), _integer(k, "k"), _seed(seed)
+    k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
     if n < 4:
         raise InvalidSpec(f"sweep needs n >= 4 per set, got {n}")
     if variances is None:
@@ -309,7 +309,8 @@ def distribution_grid(
     workers: int | None = None,
 ) -> ExperimentTable:
     """ECD and FID over the six unordered pairs of the three unit laws."""
-    dim, n, k, seed = _integer(dim, "dim"), _integer(n, "n"), _integer(k, "k"), _seed(seed)
+    dim, n, _, seed = _integer(dim, "dim"), _integer(n, "n"), _integer(k, "k"), _seed(seed)
+    k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
     if n < 4:
         raise InvalidSpec(f"grid needs n >= 4 per set, got {n}")
     configs = [(seed, kind_a, kind_b, dim, n, k) for kind_a, kind_b in GRID_PAIRS]

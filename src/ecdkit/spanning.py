@@ -179,14 +179,25 @@ def mst(d: DistanceMatrix, excluded=()):
     return list(zip(lo.tolist(), hi.tolist(), weight.tolist()))
 
 
+def _check_k(k) -> int:
+    """The one k rule: an integer by operator.index, not a bool, and at
+    least 1, else InvalidK. Returns it as an int."""
+    try:
+        value = operator.index(k)
+    except TypeError:
+        value = 0
+    if isinstance(k, bool) or value < 1:
+        raise InvalidK(f"tree multiplicity k must be a positive integer, got {k!r}")
+    return value
+
+
 def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     """Union of k edge-disjoint MSTs, built layer by layer.
 
     Feasibility on a complete graph requires k <= floor(N/2); beyond that
     some layer runs out of edges and DisconnectedError reports its index.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidK(f"tree multiplicity k must be a positive integer, got {k!r}")
+    k = _check_k(k)
     n = d.n_points
     ei = ej = np.empty(0, dtype=np.int64)
     weights = []
@@ -200,7 +211,7 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
         ei, ej = np.concatenate((ei, lo)), np.concatenate((ej, hi))
         weights.append(w)
     layers = np.repeat(np.arange(1, k + 1), n - 1)
-    return SpanningGraph(ei, ej, np.concatenate(weights), layers, n_nodes=n, k=int(k))
+    return SpanningGraph(ei, ej, np.concatenate(weights), layers, n_nodes=n, k=k)
 
 
 def degree_statistic(g: SpanningGraph) -> float:

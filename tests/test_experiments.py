@@ -466,3 +466,18 @@ class TestIntegerSizes:
         plain = distribution_grid(dim=2, n=8, k=1, seed=3, workers=1)
         numpy_sized = distribution_grid(dim=i(2), n=i(8), k=i(1), seed=i(3), workers=1)
         assert numpy_sized.rows == plain.rows
+
+
+class TestOneExecutor:
+    """Cells run on a thread pool at every worker count, 1 included."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_caller_errstate_reaches_no_worker_count(self, workers, monkeypatch):
+        # numpy's error state is per thread: a pool thread starts from numpy's
+        # default, "warn", whatever the calling thread set
+        seen = []
+        monkeypatch.setattr(experiments, "_sweep_cell",
+                            lambda args: seen.append(np.geterr()["over"]) or [])
+        with np.errstate(over="raise"):
+            variance_sweep(dims=(2,), variances=(1.0, 1.5), n=8, k=1, seed=0, workers=workers)
+        assert seen == ["warn", "warn"]
