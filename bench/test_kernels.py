@@ -1,7 +1,8 @@
 """Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
-null-moment and CSV-ingest kernels, of one whole `ecd` comparison, of the
-two experiment runners at one and two workers, and of the CLI: start-up
-and one whole `ecdkit ecd` run, each in a fresh interpreter.
+null-moment, COV/MMD and CSV-ingest kernels, of one whole `ecd`
+comparison, of the two experiment runners at one and two workers, and of
+the CLI: start-up and one whole `ecdkit ecd` run, each in a fresh
+interpreter.
 
 Run from the repository root with
 
@@ -31,6 +32,7 @@ from ecdkit import (
     DistributionSpec,
     FeatureSet,
     PooledLabels,
+    coverage,
     distribution_grid,
     ecd,
     edge_counts,
@@ -39,6 +41,8 @@ from ecdkit import (
     kmst,
     load_distance_csv,
     load_feature_csv,
+    measures_from_cross,
+    mmd,
     null_moments,
     pairwise_distances,
     sample,
@@ -129,6 +133,21 @@ def test_ecd_4000_dim_32(benchmark):
     b = FeatureSet(np.random.default_rng(1).standard_normal((2000, 32)) * np.sqrt(1.1))
     report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
     assert report.counts.total == 10 * 3999
+
+
+def test_measures_from_cross_500(benchmark):
+    # COV and MMD of one sweep cell: the cross block of its pooled matrix
+    a, b = pooled("gaussian", 500, DIM)
+    cross = pairwise_distances(a, b).values[:500, 500:]
+    result = benchmark(measures_from_cross, cross)
+    assert 0.0 < result.coverage <= 1.0 and result.mmd > 0.0
+
+
+def test_coverage_and_mmd_1000_dim_100(benchmark):
+    # the two public measures, each computing its own cross distances
+    a, b = pooled("gaussian", 1000, DIM)
+    cov, dist = benchmark.pedantic(lambda: (coverage(a, b), mmd(a, b)), rounds=5)
+    assert 0.0 < cov <= 1.0 and dist > 0.0
 
 
 def write_csv(path, values):

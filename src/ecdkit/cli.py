@@ -124,12 +124,9 @@ def cmd_plot(args) -> int:
 
 def _parse_dims(text: str):
     try:
-        dims = tuple(int(f) for f in text.split(","))
+        return tuple(int(f) for f in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not dims:
-        raise argparse.ArgumentTypeError("need at least one dim")
-    return dims
 
 
 _WORKERS_HELP = (

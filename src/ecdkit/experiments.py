@@ -22,7 +22,7 @@ import numpy as np
 
 from .ecd import _seed, _stream, ecd_from_distances
 from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet, PooledLabels, _integer, _records, pairwise_distances
+from .metricspace import FeatureSet, PooledLabels, _integer, _real, _records, pairwise_distances
 from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
 from .spanning import DEFAULT_K, _check_k
 
@@ -62,9 +62,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
-        dim = _integer(self.dim, "dim")
-        if dim < 1:
-            raise InvalidSpec(f"dim must be at least 1, got {dim}")
+        dim = _integer(self.dim, "dim", 1)
         try:
             variance = float(self.variance)
         except (TypeError, ValueError):
@@ -83,9 +81,7 @@ def sample(spec: DistributionSpec, count: int, seed: int) -> FeatureSet:
     Generator is PCG64 seeded through SeedSequence(seed); the gaussian
     path uses numpy's ziggurat standard-normal scaled by sqrt(variance).
     """
-    count = _integer(count, "count")
-    if count < 1:
-        raise InvalidSpec(f"sample count must be at least 1, got {count}")
+    count = _integer(count, "count", 1)
     rng = _stream(seed)
     shape = (count, spec.dim)
     if spec.kind == "gaussian":
@@ -138,7 +134,7 @@ class ExperimentRow:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
-                value = float(value)
+                value = _real(value, f.name)
                 if not math.isfinite(value):
                     raise NonFiniteInput(
                         f"measure {self.measure_name} has non-finite {f.name} {value}"
@@ -264,12 +260,22 @@ def _grid_cell(args) -> list:
     ])
 
 
+def _axis(values, name: str) -> tuple:
+    """A sweep axis (dims or variances) as a non-empty tuple, else
+    InvalidSpec: an empty axis would make a table with no rows."""
+    try:
+        axis = tuple(values)
+    except TypeError:
+        axis = ()
+    if not axis:
+        raise InvalidSpec(f"{name} must be a non-empty iterable, got {values!r}")
+    return axis
+
+
 def _run_cells(fn, configs, workers):
     """fn over configs on one pool of `workers` threads (1 when None): the
     calling thread runs no cell at any count."""
-    workers = 1 if workers is None else _integer(workers, "workers")
-    if workers < 1:
-        raise InvalidSpec(f"workers must be at least 1, got {workers}")
+    workers = 1 if workers is None else _integer(workers, "workers", 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # map() yields results in submission order, so the table
         # layout never depends on completion order
@@ -291,10 +297,10 @@ def variance_sweep(
     """
     n, _, seed = _integer(n, "n"), _integer(k, "k"), _seed(seed)
     k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
-    if n < 4:
-        raise InvalidSpec(f"sweep needs n >= 4 per set, got {n}")
+    n = _integer(n, "n", 4)
     if variances is None:
         variances = default_sweep_variances()
+    dims, variances = _axis(dims, "dims"), _axis(variances, "variances")
     # every cell's law is checked before any cell runs
     specs = [DistributionSpec("gaussian", dim, var) for dim in dims for var in variances]
     configs = [(seed, s.dim, s.variance, n, k) for s in specs]
@@ -311,7 +317,8 @@ def distribution_grid(
     """ECD and FID over the six unordered pairs of the three unit laws."""
     dim, n, _, seed = _integer(dim, "dim"), _integer(n, "n"), _integer(k, "k"), _seed(seed)
     k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
-    if n < 4:
-        raise InvalidSpec(f"grid needs n >= 4 per set, got {n}")
+    n = _integer(n, "n", 4)
+    for kind in KINDS:  # every law a cell draws from is checked before any cell runs
+        DistributionSpec(kind, dim)
     configs = [(seed, kind_a, kind_b, dim, n, k) for kind_a, kind_b in GRID_PAIRS]
     return ExperimentTable(rows=_run_cells(_grid_cell, configs, workers))

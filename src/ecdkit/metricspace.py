@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     SizeMismatch,
 )
-from .numerics import _as_symmetric
+from .numerics import _as_symmetric, _real_array
 
 METRICS = ("euclidean", "squared_euclidean")
 
@@ -52,7 +52,7 @@ class FeatureSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _real_array(self.points, "feature values")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -114,12 +114,24 @@ def _by_construction(values: np.ndarray) -> DistanceMatrix:
     return d
 
 
-def _integer(value, name: str) -> int:
-    """value as an int by operator.index; anything else raises InvalidSpec."""
+def _integer(value, name: str, low: int | None = None, error=InvalidSpec) -> int:
+    """The one integer rule: value as an int by operator.index, anything
+    else raising InvalidSpec; below `low`, when given, it raises `error`."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise error(f"{name} must be at least {low}, got {n}")
+    return n
+
+
+def _real(value, name: str) -> float:
+    """The one real-number rule: value as a float by float(), else InvalidSpec."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{name} must be a real number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,6 @@ class PooledLabels:
             raise SizeMismatch(f"each set needs at least 2 points, got sizes ({n}, {m})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-
-    @property
-    def split_index(self) -> int:
-        return self.n
 
     @property
     def n_total(self) -> int:
@@ -203,9 +211,11 @@ def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> 
     return cdist(a.points, b.points, metric=name)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0.0:  # also rejects NaN
+def _check_tolerance(tolerance) -> float:
+    value = _real(tolerance, "tolerance")
+    if not value >= 0.0:  # also rejects NaN
         raise InvalidSpec(f"tolerance must be nonnegative, got {tolerance!r}")
+    return value
 
 
 def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
@@ -215,12 +225,12 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     entries all stay within `tolerance`; the stored result is the exact
     symmetrization ``(raw + raw.T) / 2`` with the diagonal forced to zero
     and residual negatives clamped to zero. Violations beyond the
-    tolerance raise the matching error instead of being repaired. A NaN
-    or negative tolerance raises InvalidSpec; ``inf`` accepts any finite
-    matrix.
+    tolerance raise the matching error instead of being repaired. A
+    tolerance that float() refuses, is NaN or is negative raises
+    InvalidSpec; ``inf`` accepts any finite matrix.
     """
-    _check_tolerance(tolerance)
-    arr = np.asarray(raw, dtype=np.float64)
+    tolerance = _check_tolerance(tolerance)
+    arr = _real_array(raw, "distance entries")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -26,8 +26,16 @@ PSD_SLACK = 1e-9
 SINGULAR_DET_RTOL = 1e-12
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """The one real-array rule: values as a float64 array; a complex one
+    raises NonFiniteInput naming its dtype, as a cast would drop its imaginary parts."""
+    if np.iscomplexobj(values):
+        raise NonFiniteInput(f"{what} must be real, got dtype {np.asarray(values).dtype}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _as_symmetric(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
+    a = _real_array(m, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

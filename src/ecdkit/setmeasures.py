@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamples,
 )
 from .metricspace import FeatureSet, cross_distances
-from .numerics import _as_symmetric, _psd_sqrt_trace, psd_sqrt
+from .numerics import _as_symmetric, _psd_sqrt_trace, _real_array, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class GaussianSummary:
     sample_count: int
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        mu = _real_array(self.mean, "mean entries")
+        cov = _real_array(self.covariance, "covariance entries")
         if mu.ndim != 1 or cov.shape != (mu.size, mu.size):
             raise DimensionMismatch(
                 f"mean of size {mu.shape} does not match covariance {cov.shape}"
@@ -67,7 +67,7 @@ class MeasureResult:
 
 
 def _validated_cross(raw) -> np.ndarray:
-    cross = np.asarray(raw, dtype=np.float64)
+    cross = _real_array(raw, "cross distances")
     if cross.ndim != 2:
         raise DimensionMismatch(f"cross-distance array must be 2-D, got ndim={cross.ndim}")
     if cross.shape[0] == 0 or cross.shape[1] == 0:
@@ -79,37 +79,14 @@ def _validated_cross(raw) -> np.ndarray:
     return cross
 
 
-def coverage_from_cross(cross) -> float:
-    """Fraction of columns that are the nearest column of at least one row.
-
-    Rows are the covering set, columns the covered one. Argmin ties go to
-    the smallest column index, so the result is order-deterministic.
-    """
-    return _coverage(_validated_cross(cross))
-
-
-def mmd_from_cross(cross) -> float:
-    """Mean over columns of the distance to their nearest row."""
-    return _mmd(_validated_cross(cross))
-
-
-def _coverage(c: np.ndarray) -> float:
-    marked = np.unique(np.argmin(c, axis=1))
-    return float(marked.size) / c.shape[1]
-
-
-def _mmd(c: np.ndarray) -> float:
-    return float(np.mean(np.min(c, axis=0)))
-
-
 def coverage(a: FeatureSet, b: FeatureSet) -> float:
     """Fraction of b-points marked as euclidean nearest neighbor of some a-point."""
-    return coverage_from_cross(cross_distances(a, b, "euclidean"))
+    return measures_from_cross(cross_distances(a, b, "euclidean")).coverage
 
 
 def mmd(a: FeatureSet, b: FeatureSet) -> float:
     """Mean euclidean distance from each b-point to its closest a-point."""
-    return mmd_from_cross(cross_distances(a, b, "euclidean"))
+    return measures_from_cross(cross_distances(a, b, "euclidean")).mmd
 
 
 def fit_gaussian(x: FeatureSet) -> GaussianSummary:
@@ -151,7 +128,12 @@ def measures_from_features(a: FeatureSet, b: FeatureSet) -> MeasureResult:
 
 
 def measures_from_cross(cross) -> MeasureResult:
-    """Coverage and matching distance from a precomputed cross block;
-    the Fréchet slot stays empty."""
+    """Coverage and matching distance from a precomputed cross block whose
+    rows cover its columns; the Fréchet slot stays empty. Coverage is the
+    fraction of columns nearest to at least one row (argmin ties go to the
+    smallest column index); the matching distance is the mean over columns
+    of the distance to their nearest row."""
     c = _validated_cross(cross)
-    return MeasureResult(coverage=_coverage(c), mmd=_mmd(c), frechet=None)
+    marked = np.unique(np.argmin(c, axis=1))
+    mean_nearest = float(np.mean(np.min(c, axis=0)))
+    return MeasureResult(coverage=float(marked.size) / c.shape[1], mmd=mean_nearest, frechet=None)

@@ -78,6 +78,16 @@ class TestRunnerParsing:
         assert seen == [{"n": 9, "k": 2, "seed": 4, "workers": 3, **shape}]
         assert f"wrote 0 rows to {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", ["", ",", "2,", "2,x"], ids=repr)
+    def test_dims_without_an_integer_in_every_field_exit_2(self, dims, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "variance-sweep", "--seed", "4", "--out", str(out),
+                  "--dims", dims])
+        assert exc.value.code == 2
+        assert f"expected comma-separated integers, got {dims!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # mode errors, each given with every later fault: the first error wins
 MODE_ERRORS = {

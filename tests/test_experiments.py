@@ -468,6 +468,42 @@ class TestIntegerSizes:
         assert numpy_sized.rows == plain.rows
 
 
+class TestEveryArgumentBeforeAnyCell:
+    """A runner checks every argument before its first cell; an empty or
+    non-iterable axis is an InvalidSpec, not a table with no rows."""
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: distribution_grid(dim=0, n=8, k=1, seed=0, workers=2),
+         "dim must be at least 1, got 0"),
+        (lambda: variance_sweep(dims=(0,), variances=(1.0,), n=8, k=1, seed=0),
+         "dim must be at least 1, got 0"),
+        (lambda: variance_sweep(dims=(), variances=(1.0,), n=8, k=1, seed=0),
+         "dims must be a non-empty iterable, got \\(\\)"),
+        (lambda: variance_sweep(dims=(2,), variances=(), n=8, k=1, seed=0),
+         "variances must be a non-empty iterable, got \\(\\)"),
+        (lambda: variance_sweep(dims=5, variances=(1.0,), n=8, k=1, seed=0),
+         "dims must be a non-empty iterable, got 5"),
+        (lambda: variance_sweep(dims=(2,), variances=1.0, n=8, k=1, seed=0),
+         "variances must be a non-empty iterable, got 1.0"),
+    ], ids=["grid-dim-0", "sweep-dim-0", "empty-dims", "empty-variances",
+            "scalar-dims", "scalar-variances"])
+    def test_rejected_before_any_cell(self, run, message, monkeypatch):
+        cells = []
+        for name in ("_sweep_cell", "_grid_cell"):
+            monkeypatch.setattr(experiments, name, lambda args: cells.append(args) or [])
+        with pytest.raises(InvalidSpec, match=message):
+            run()
+        assert cells == []
+
+    def test_any_iterable_axis_gives_the_tuple_table(self):
+        listed = variance_sweep(dims=[2, 3], variances=[1.0, 1.5], n=8, k=1, seed=2)
+        generated = variance_sweep(dims=(d for d in (2, 3)), variances=iter((1.0, 1.5)),
+                                   n=8, k=1, seed=2)
+        tupled = variance_sweep(dims=(2, 3), variances=(1.0, 1.5), n=8, k=1, seed=2)
+        assert listed.rows == generated.rows == tupled.rows
+        assert len(tupled) == 2 * 2 * 3
+
+
 class TestOneExecutor:
     """Cells run on a thread pool at every worker count, 1 included."""
 

@@ -312,7 +312,7 @@ def test_validate_distance_matrix_checks_tolerance(tmp_path):
 
 def test_pooled_labels():
     labels = PooledLabels(3, 4)
-    assert labels.split_index == 3
+    assert labels.n == 3
     assert labels.n_total == 7
     with pytest.raises(SizeMismatch):
         PooledLabels(1, 5)

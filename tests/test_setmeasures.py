@@ -24,7 +24,6 @@ from ecdkit import (
     sample,
 )
 from ecdkit.experiments import GRID_PAIRS
-from ecdkit.setmeasures import coverage_from_cross, mmd_from_cross
 
 
 def fs(values):
@@ -62,7 +61,7 @@ class TestCoverage:
     def test_tie_goes_to_smaller_index(self):
         # a point equidistant from both b points must mark only column 0
         cross = np.array([[2.0, 2.0]])
-        assert coverage_from_cross(cross) == 0.5
+        assert measures_from_cross(cross).coverage == 0.5
 
     def test_superset_is_fully_marked(self):
         rng = np.random.default_rng(5)
@@ -220,8 +219,8 @@ class TestBundles:
         cross = np.array([[1.0, 2.0], [0.5, 3.0], [2.0, 0.1]])
         result = measures_from_cross(cross)
         assert result.frechet is None
-        assert result.coverage == coverage_from_cross(cross)
-        assert result.mmd == mmd_from_cross(cross)
+        assert result.coverage == 1.0
+        assert result.mmd == pytest.approx(0.3)
 
     def test_cross_bundle_validates_once(self, monkeypatch):
         module = importlib.import_module("ecdkit.setmeasures")
@@ -234,19 +233,15 @@ class TestBundles:
 
         monkeypatch.setattr(module, "_validated_cross", counting)
         cross = np.abs(np.random.default_rng(53).standard_normal((6, 4)))
-        result = measures_from_cross(cross)
+        measures_from_cross(cross)
         assert len(calls) == 1
-        assert result.coverage == coverage_from_cross(cross)
-        assert result.mmd == mmd_from_cross(cross)
-        # the single measures still validate their own input
-        assert len(calls) == 3
 
     def test_cross_orientation(self):
         # rows scan the first set, columns the second: row count must not
         # change which side coverage normalizes by
         cross = np.array([[0.1, 9.0, 9.0], [0.2, 9.0, 9.0]])
-        assert coverage_from_cross(cross) == pytest.approx(1 / 3)
-        assert mmd_from_cross(cross) == pytest.approx((0.1 + 9.0 + 9.0) / 3)
+        assert measures_from_cross(cross).coverage == pytest.approx(1 / 3)
+        assert measures_from_cross(cross).mmd == pytest.approx((0.1 + 9.0 + 9.0) / 3)
 
     def test_negative_distance_rejected(self):
         cross = np.array([[1.0, -0.5]])
