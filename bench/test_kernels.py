@@ -74,9 +74,8 @@ def pooled(kind, n, dim):
     return sample(DistributionSpec(kind, dim), n, 0), sample(DistributionSpec(kind, dim), n, 1)
 
 
-def test_pairwise_distances_4000_dim_32(benchmark):
-    a, b = pooled("gaussian", 2000, 32)
-    assert benchmark(pairwise_distances, a, b).n_points == 4000
+def time_pairwise_distances(benchmark, a, b):
+    assert benchmark(pairwise_distances, a, b).n_points == a.n_points + b.n_points
     # one more call, untimed, for the peak of what numpy and scipy allocate
     tracemalloc.start()
     try:
@@ -85,6 +84,15 @@ def test_pairwise_distances_4000_dim_32(benchmark):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
+
+
+def test_pairwise_distances_4000_dim_32(benchmark):
+    time_pairwise_distances(benchmark, *pooled("gaussian", 2000, 32))
+
+
+def test_pairwise_distances_1000_dim_1000(benchmark):
+    # a variance-sweep cell's pooled matrix: at dim 1000 the sets weigh as much as it
+    time_pairwise_distances(benchmark, *pooled("gaussian", 500, 1000))
 
 
 @pytest.fixture(scope="module")

@@ -233,9 +233,9 @@ _SCORING = threading.Lock()
 def _sweep_cell(args) -> list:
     base_seed, dim, var, n, k = args
     cell = (base_seed, "variance-sweep", "gaussian", "gaussian", dim, var, n)
-    a, b = _pair(*cell)
-    # one pooled matrix; its cross block is bitwise cross_distances(a, b)
-    d = pairwise_distances(a, b)
+    # one pooled matrix, whose cross block is bitwise the samples' cross_distances;
+    # the samples are dropped once it exists, so a cell waiting to score holds it alone
+    d = pairwise_distances(*_pair(*cell))
     near = measures_from_cross(d.values[:n, n:])
     with _SCORING:
         report = ecd_from_distances(d, PooledLabels(n, n), k)

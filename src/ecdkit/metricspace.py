@@ -5,8 +5,10 @@ exactly symmetric, zero-diagonal :class:`DistanceMatrix` over the pooled
 points of the two sets being compared. Matrices are kept dense; pool
 sizes of interest are at most a few thousand points. The pooled matrix
 is filled in place one strip of rows at a time, each unordered pair
-computed once and written to both of its entries, so the only N x N
-array ever held is the result.
+computed once and written to both of its entries. Strips read the two
+sets where they are and never cross the split between them, so no
+pooled copy of the points is made: a comparison holds its two sets, the
+N x N result and one strip's distances.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _by_construction(values: np.ndarray) -> DistanceMatrix:
     Only for matrices the library builds that way: the pooled matrix of
     :func:`pairwise_distances`, whose every pair is computed once and
     written to both of its entries, with a zero diagonal and finite
-    entries checked strip by strip; a symmetric gather
+    entries checked once it is filled; a symmetric gather
     ``v[np.ix_(r, r)]`` of a valid matrix; and the repaired matrix of
     :func:`validate_distance_matrix`, ``(a + a.T) / 2`` (IEEE addition
     commutes) with a zeroed diagonal, negatives clipped and finiteness
@@ -167,16 +169,21 @@ def _check_metric(metric: str) -> str:
 def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> DistanceMatrix:
     """Dense distance matrix over the pooled rows ``[a; b]``.
 
-    The matrix is filled in place, one strip of ``_STRIP_ROWS`` rows at
-    a time: the strip's diagonal block from ``pdist`` mirrored by
-    ``squareform``, and its distances to every later row from ``cdist``,
-    written once as rows and once, transposed, as columns. Each
-    unordered pair is computed once, so the two halves are bitwise
+    The matrix is filled in place, one strip of at most ``_STRIP_ROWS``
+    rows at a time, walking the rows of `a` and then the rows of `b`, so
+    no strip crosses the split and both sets are read in place, with no
+    pooled copy. A strip gets its diagonal block from ``pdist`` mirrored
+    by ``squareform``, then its distances to every later row from
+    ``cdist``: for a strip of `a`, one call against the rest of `a` and
+    one against all of `b`; for a strip of `b`, one against the rest of
+    `b`. Each such block passes through one buffer, reused for the whole
+    fill, and is written once as rows and once, transposed, as columns.
+    Each unordered pair is computed once, so the two halves are bitwise
     identical, the diagonal is zero and no entry is negative; only
-    finiteness is checked, strip by strip, since finite features far
-    apart overflow to inf. Each entry is bitwise what ``pdist`` over the
-    whole pool gives, and does not depend on any parallel execution
-    schedule.
+    finiteness is checked, once the matrix is filled, since finite
+    features far apart overflow to inf. Each entry is bitwise what
+    ``pdist`` over the whole pool gives, and does not depend on any
+    parallel execution schedule.
     """
     # scipy loads on the first distance call: importing ecdkit needs numpy alone
     from scipy.spatial.distance import cdist, pdist, squareform
@@ -184,20 +191,32 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
     name = _check_metric(metric)
-    pooled = np.vstack([a.points, b.points])
-    n = pooled.shape[0]
-    values = np.empty((n, n))
-    for i0 in range(0, n, _STRIP_ROWS):
-        i1 = min(i0 + _STRIP_ROWS, n)
-        rows = pooled[i0:i1]
-        values[i0:i1, i0:i1] = squareform(pdist(rows, metric=name))
-        if i1 < n:
-            strip = cdist(rows, pooled[i1:], metric=name)
-            values[i0:i1, i1:] = strip
-            values[i1:, i0:i1] = strip.T
-        # entries are nonnegative and max propagates NaN: one pass, no mask
-        if not np.isfinite(values[i0:i1, i0:].max()):
-            raise NonFiniteInput("distances must be finite")
+    # once per set, a no-op for the usual input: scipy would copy each strip
+    x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
+    n, total = len(x), len(x) + len(y)
+    values = np.empty((total, total))
+    buf = np.empty(total * _STRIP_ROWS)  # room for any strip's block, reused block to block
+    for pts, start, others in ((x, 0, (y,)), (y, n, ())):
+        for s0 in range(0, len(pts), _STRIP_ROWS):
+            s1 = min(s0 + _STRIP_ROWS, len(pts))
+            rows = pts[s0:s1]
+            i0, i1 = start + s0, start + s1
+            values[i0:i1, i0:i1] = squareform(pdist(rows, metric=name))
+            # the later rows lie in order: the rest of this set, then b after a strip of a
+            j0 = i1
+            for later in (pts[s1:], *others):
+                j1 = j0 + len(later)
+                if j1 > j0:  # the last strip of a set has no rest of it
+                    block = buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+                    cdist(rows, later, metric=name, out=block)
+                    values[i0:i1, j0:j1] = block
+                    values[j0:j1, i0:i1] = block.T
+                j0 = j1
+    # entries are nonnegative and max propagates NaN: one pass, no mask;
+    # one call, as each numpy or scipy call that lets the GIL go may wait
+    # for it beside a runner thread running Python
+    if not np.isfinite(values.max()):
+        raise NonFiniteInput("distances must be finite")
     return _by_construction(values)
 
 

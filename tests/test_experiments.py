@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +301,27 @@ class TestVarianceSweep:
         n = 2 * metricspace._STRIP_ROWS + 30  # the pool spans several strips
         rows = _sweep_cell((5, 3, 1.3, n, 2))
         assert sum(pairs) == 2 * n * (2 * n - 1) // 2
+        assert [r.measure_name for r in rows] == ["ECD", "COV", "MMD"]
+
+    def test_cell_drops_its_samples_before_scoring(self, monkeypatch):
+        # a cell waiting for the scoring lock holds its pooled matrix, not
+        # the matrix plus the two sets it was computed from
+        refs, alive = [], []
+        pair, score = experiments._pair, experiments.ecd_from_distances
+
+        def watched_pair(*args):
+            sets = pair(*args)
+            refs.extend(weakref.ref(s) for s in sets)
+            return sets
+
+        def watched_score(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_pair", watched_pair)
+        monkeypatch.setattr(experiments, "ecd_from_distances", watched_score)
+        rows = _sweep_cell((5, 3, 1.3, 20, 2))
+        assert alive == [[False, False]]
         assert [r.measure_name for r in rows] == ["ECD", "COV", "MMD"]
 
     def test_default_variance_ladder(self):

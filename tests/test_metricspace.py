@@ -123,7 +123,27 @@ def test_pairwise_distances_strips_equal_whole_pdist(metric, kind, n):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+@pytest.mark.parametrize("layout", ["C", "F", "int"])
+@pytest.mark.parametrize("m", [1, 2, STRIP + 3])
+@pytest.mark.parametrize("n", [1, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 5])
+def test_pairwise_distances_strips_never_cross_the_split(metric, layout, m, n):
+    # strips walk a, then b: wherever the split falls in the pooled strip
+    # grid, every entry is still bitwise the whole pool's pdist
+    rng = np.random.default_rng(n * 1000 + m)
+    if layout == "int":
+        pa, pb = rng.integers(-4, 5, (n, 6)), rng.integers(-4, 5, (m, 6))
+    else:
+        pa, pb = rng.standard_normal((n, 6)), rng.standard_normal((m, 6)) * 1.7 + 0.3
+        if layout == "F":
+            pa, pb = np.asfortranarray(pa), np.asfortranarray(pb)
+    d = pairwise_distances(FeatureSet(pa), FeatureSet(pb), metric).values
+    pooled = np.vstack([pa, pb]).astype(np.float64)
+    assert d.tobytes() == squareform(pdist(pooled, SCIPY_NAME[metric])).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("i, j", [
+    (99, 100),  # across the split: the last row of a and the first row of b
     (2 * STRIP - 1, 2 * STRIP),  # in the last off-diagonal strip
     (STRIP, 2 * STRIP - 1),  # inside a diagonal block
     (0, 1),  # inside the first diagonal block
@@ -206,6 +226,21 @@ def test_pairwise_distances_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * n * 8
+
+
+def test_pairwise_distances_makes_no_pooled_copy():
+    # high-dimensional sets: a pooled copy of the points (9.6 MB here) would
+    # outweigh the strip's distances; the sets are read in place
+    rng = np.random.default_rng(23)
+    a = FeatureSet(rng.standard_normal((300, 2000)))
+    b = FeatureSet(rng.standard_normal((300, 2000)))
+    tracemalloc.start()
+    try:
+        values = pairwise_distances(a, b).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < 2 * 2**20
 
 
 def test_squared_metric_matches_squared_euclidean():
