@@ -1,8 +1,8 @@
-"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, edge-count,
-null-moment, COV/MMD and CSV-ingest kernels, of one whole `ecd`
-comparison, of the two experiment runners at one and two workers, and of
-the CLI: start-up and one whole `ecdkit ecd` run, each in a fresh
-interpreter.
+"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, tie-rank,
+edge-count, null-moment, COV/MMD and CSV-ingest kernels, of one whole
+`ecd` comparison and one subsampled one, of the two experiment runners at
+one and two workers, and of the CLI: start-up and one whole `ecdkit ecd`
+run, each in a fresh interpreter.
 
 Run from the repository root with
 
@@ -35,6 +35,7 @@ from ecdkit import (
     coverage,
     distribution_grid,
     ecd,
+    ecd_subsampled,
     edge_counts,
     fit_gaussian,
     frechet_gaussian,
@@ -49,6 +50,7 @@ from ecdkit import (
     variance_sweep,
 )
 from ecdkit.numerics import sym_eig
+from ecdkit.spanning import _pair_rank
 
 DIM = 100
 
@@ -135,12 +137,36 @@ def test_kmst_mixed_1000_dim_100(benchmark):
     assert g.n_edges == 10 * 999
 
 
+@pytest.mark.parametrize("size", [4, 66])
+def test_pair_rank(benchmark, size):
+    # tie ranks come in few-entry arrays, so the per-call cost dominates
+    lo = np.arange(size, dtype=np.int64)
+    z = benchmark(_pair_rank, 4000, lo, lo + 1000)
+    assert z.dtype == np.uint64 and z.size == size
+
+
 def test_ecd_4000_dim_32(benchmark):
     # one whole comparison at the size of the benchmark's pair-large item
     a = FeatureSet(np.random.default_rng(0).standard_normal((2000, 32)))
     b = FeatureSet(np.random.default_rng(1).standard_normal((2000, 32)) * np.sqrt(1.1))
     report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
     assert report.counts.total == 10 * 3999
+
+
+def test_ecd_subsampled_2000_vs_1000_dim_100(benchmark):
+    # the cli-files shape: ten rounds, each pooling a 1000-point subset with b
+    a = sample(DistributionSpec("gaussian", DIM), 2000, 0)
+    b = sample(DistributionSpec("gaussian", DIM), 1000, 1)
+    report = benchmark.pedantic(ecd_subsampled, (a, b), {"k": 10, "rounds": 10}, rounds=3)
+    assert report.subsample_rounds == 10
+    # one more run, untimed, for the peak of what the rounds hold at once
+    tracemalloc.start()
+    try:
+        ecd_subsampled(a, b, k=10, rounds=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
 
 
 def test_measures_from_cross_500(benchmark):

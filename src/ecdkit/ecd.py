@@ -342,9 +342,12 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> 
         # with equal sizes every round draws the whole first set, so the
         # round-0 statistic is added again instead of rescored
         if r == 0 or n_large > m:
-            d = pooled(subsample_round_indices(seed, r, n_large, m))
-            # labels after the matrix: a dimension mismatch is reported first
-            rep = ecd_from_distances(d, PooledLabels(n=m, m=m), k)
+            # one expression, so no name keeps this round's matrix alive
+            # while the next round fills its own; labels after the matrix,
+            # so a dimension mismatch is reported first
+            rep = ecd_from_distances(
+                pooled(subsample_round_indices(seed, r, n_large, m)), PooledLabels(n=m, m=m), k
+            )
         if r == 0:
             first = rep
         total += rep.statistic

@@ -26,10 +26,12 @@ from .metricspace import DistanceMatrix
 #: Tree multiplicity used throughout unless a caller overrides it.
 DEFAULT_K = 10
 
-_MIX_INC = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_SHIFT_27, _SHIFT_30, _SHIFT_31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# 0-d arrays, not numpy scalars: a ufunc takes them without a scalar
+# conversion, about half the cost per call on the few-entry arrays ties give
+_MIX_INC, _MIX_A, _MIX_B, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
+    np.array(c, dtype=np.uint64)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31)
+)
 
 
 def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
@@ -41,7 +43,9 @@ def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
     int64 arrays; their key ``lo * n_nodes + hi`` is formed in int64,
     exact for any n_nodes below 3e9, and read as uint64.
     """
-    z = (lo * n_nodes + hi).view(np.uint64)
+    z = lo * n_nodes
+    z += hi
+    z = z.view(np.uint64)
     z += _MIX_INC
     z ^= z >> _SHIFT_30
     z *= _MIX_A
@@ -81,30 +85,30 @@ class SpanningGraph:
         return tuple(zip(*(a.tolist() for a in (self.ei, self.ej, self.weight, self.layer))))
 
 
-def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
-    """One MST of the complete graph minus the edges (ei[e], ej[e]).
+def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
+    """One MST of the complete graph minus the edges of an exclusion index.
 
     Reads `d.values` in place; node v's excluded neighbours are
-    ``nbr[ptr[v]:ptr[v + 1]]`` (CSR). Starts from node 0. At every step the
-    cheapest frontier edge is added; among equal-weight frontier edges
-    the one with the smallest pair rank wins. Tree nodes hold NaN in
-    `best`, so they are never the minimum, never closer and never tied,
-    and their `parent` is final. Returns (lo, hi, weight), one per step.
+    ``nbr[ptr[v]:ptr[v + 1]]`` (CSR, see `_with_excluded`). Starts from
+    node 0. At every step the cheapest frontier edge is added; among
+    equal-weight frontier edges the one with the smallest pair rank wins.
+    Tree nodes hold NaN in `best`, so they are never the minimum, never
+    closer and never tied, and their `parent` is final. Returns
+    (lo, hi, weight), one per step.
 
     Distances are nonnegative, so `best` orders as its int64 bits, NaN
-    above inf: one argmin finds a cheapest node, and a second, with that
-    node set to NaN, tells whether another node ties with it. The pair
-    rank of each frontier node's edge to its parent is computed when a
-    tie first needs it and kept until the parent changes.
+    above inf. Each step makes one argmin over the frontier, with the
+    pick already set to NaN: it finds the runner-up, which tells whether
+    another node ties with the pick and, unless this step lowers some key
+    below it, is the next pick. The pair rank of each frontier node's
+    edge to its parent is computed when a tie first needs it and kept
+    until the parent changes.
     """
     values = d.values
     n = values.shape[0]
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
-    both = np.concatenate((ei, ej))
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(both, minlength=n), out=ptr[1:])
-    nbr = np.concatenate((ej, ei))[np.argsort(both, kind="stable")]
+    ptr = ptr.tolist()  # Python ints slice `nbr` faster than numpy scalars
     best = values[0].copy()
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
@@ -126,18 +130,21 @@ def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
 
     at_most = np.empty(n, dtype=bool)
     added = np.empty(n - 1, dtype=np.int64)
+    vertex = int(bits.argmin())
     for step in range(n - 1):
-        vertex = bits.argmin()
         lowest = best[vertex]
         if lowest == np.inf:
             raise DisconnectedError("graph is disconnected under the current edge exclusions")
         best[vertex] = np.nan
-        if best[bits.argmin()] == lowest:  # any float tie, -0.0 against +0.0 too
+        runner = bits.argmin()
+        second = best[runner]
+        if second == lowest:  # any float tie, -0.0 against +0.0 too
             best[vertex] = lowest
             cand = (best == lowest).nonzero()[0]
             # candidates are distinct frontier nodes with tree parents, so
             # their pairs, and hence their ranks, are distinct
-            vertex = cand[parent_ranks(cand).argmin()]
+            win = parent_ranks(cand).argmin()
+            vertex, runner = int(cand[win]), cand[win - 1]  # any other candidate
             best[vertex] = np.nan
         added[step] = vertex
         row = values[vertex]
@@ -146,6 +153,13 @@ def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
         near = at_most.nonzero()[0]
         if near.size:
             gain = row[near]
+            # only these keys move, each down to its gain or an equal value,
+            # so the lowest frontier key is `second` or the lowest gain. A
+            # pick needs that key, not the lowest bits: the tie check finds
+            # every other node whose key equals it, -0.0 or +0.0
+            low = gain.argmin()
+            if gain[low] < second:
+                runner = near[low]
             closer = gain < best[near]
             if np.count_nonzero(closer) < near.size:
                 # a tied frontier edge replaces the current one if its pair ranks lower
@@ -156,8 +170,32 @@ def _prim(d: DistanceMatrix, ei: np.ndarray, ej: np.ndarray):
                 ranked[near] = vertex
             best[near] = gain  # a tied win writes an equal value
             parent[near] = vertex
+        vertex = int(runner)
     ends = parent[added]
     return np.minimum(ends, added), np.maximum(ends, added), values[ends, added]
+
+
+def _with_excluded(ptr: np.ndarray, nbr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The exclusion index (ptr, nbr) grown by the edges (lo[e], hi[e]).
+
+    Node v's excluded neighbours are ``nbr[ptr[v]:ptr[v + 1]]``. Each new
+    edge goes at the end of both endpoints' blocks, so only the new edges
+    are sorted, by node, and the entries already held are moved in one
+    pass. Returns new arrays.
+    """
+    ends = np.concatenate((lo, hi))
+    # by node, so insertions at one position (empty blocks between) keep node order
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    nbr = np.insert(nbr, ptr[ends + 1], np.concatenate((hi, lo))[order])
+    ptr = ptr.copy()
+    ptr[1:] += np.cumsum(np.bincount(ends, minlength=ptr.size - 1))
+    return ptr, nbr
+
+
+def _no_exclusions(n: int):
+    """The empty exclusion index over n nodes."""
+    return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 def mst(d: DistanceMatrix, excluded=()):
@@ -175,7 +213,8 @@ def mst(d: DistanceMatrix, excluded=()):
     for pair in pairs:
         if not (0 <= pair[0] < n and 0 <= pair[1] < n):
             raise InvalidEdge(f"excluded edge {pair} has a node outside 0..{n - 1}")
-    lo, hi, weight = _prim(d, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    lo, hi, weight = _prim(d, *_with_excluded(*_no_exclusions(n), lo, hi))
     return list(zip(lo.tolist(), hi.tolist(), weight.tolist()))
 
 
@@ -199,19 +238,21 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     """
     k = _check_k(k)
     n = d.n_points
-    ei = ej = np.empty(0, dtype=np.int64)
-    weights = []
+    index = _no_exclusions(n)  # every earlier layer's edges
+    trees = []
     for layer in range(1, k + 1):
         try:
-            lo, hi, w = _prim(d, ei, ej)
+            tree = _prim(d, *index)
         except DisconnectedError as exc:
             raise DisconnectedError(
                 f"layer {layer} of {k} cannot be completed: {exc}", layer=layer
             ) from None
-        ei, ej = np.concatenate((ei, lo)), np.concatenate((ej, hi))
-        weights.append(w)
+        trees.append(tree)
+        if layer < k:
+            index = _with_excluded(*index, *tree[:2])
+    ei, ej, weight = (np.concatenate(part) for part in zip(*trees))
     layers = np.repeat(np.arange(1, k + 1), n - 1)
-    return SpanningGraph(ei, ej, np.concatenate(weights), layers, n_nodes=n, k=k)
+    return SpanningGraph(ei, ej, weight, layers, n_nodes=n, k=k)
 
 
 def degree_statistic(g: SpanningGraph) -> float:

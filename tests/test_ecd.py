@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -414,6 +415,33 @@ class TestSubsampling:
             total += once
         assert sub.statistic == total / rounds
         assert sub.subsample_rounds == rounds
+
+    @pytest.mark.parametrize("route", ["features", "distances"])
+    def test_holds_one_round_matrix_at_a_time(self, route):
+        # a round's pooled matrix is freed before the next round fills its
+        # own, so more rounds do not raise the peak
+        rng = np.random.default_rng(309)
+        a = FeatureSet(rng.standard_normal((400, 20)))
+        b = FeatureSet(rng.standard_normal((200, 20)))
+        if route == "features":
+            def run(rounds):
+                return ecd_subsampled(a, b, k=1, rounds=rounds, seed=2)
+        else:
+            d = pairwise_distances(a, b)
+
+            def run(rounds):
+                return ecd_subsampled_from_distances(d, PooledLabels(400, 200), k=1,
+                                                     rounds=rounds, seed=2)
+        run(1)  # scipy's first import is not part of the peak
+        peaks = []
+        for rounds in (1, 3):
+            tracemalloc.start()
+            try:
+                run(rounds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)
     def test_generated_set_too_small(self, subsample):

@@ -1,5 +1,6 @@
 """Layered spanning graph construction."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spanning_reference import _pair_rank as reference_pair_rank
 from spanning_reference import reference_kmst, reference_mst
 
 from ecdkit import (
@@ -21,6 +23,7 @@ from ecdkit import (
     mst,
     pairwise_distances,
 )
+from ecdkit.spanning import _pair_rank
 
 
 def dmat(points):
@@ -293,6 +296,30 @@ def assert_same_graph(got, want):
     assert (got.n_nodes, got.k) == (want.n_nodes, want.k)
 
 
+def constructed(case):
+    """A matrix and k that steer the Prim loop through one named path.
+
+    undercut: node 1 is picked first from node 0; the runner-up is node 2
+    at 5.5, but node 3's key drops to 4 in the same step, so node 3 comes
+    next. three_way_tie: nodes 1, 2 and 3 tie at the minimum from node 0,
+    so after the rank tie-break the next pick is one of the other two.
+    hub: node 5 is nearest to every node, so layer 1 is a star on it and
+    in layer 2 it is the last frontier node, with every edge excluded.
+    """
+    if case == "undercut":
+        return dmat([0.0, 5.0, -5.5, 9.0]), 1
+    if case == "three_way_tie":
+        values = np.full((6, 6), 2.0)
+        values[0, 1:4] = values[1:4, 0] = 1.0
+        values[0, 4:] = values[4:, 0] = 3.0
+        values[1:4, 4] = values[4, 1:4] = 1.5, 2.5, 1.5
+    else:
+        values = 10.0 + np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
+        values[5, :] = values[:, 5] = 1.0 + 0.1 * np.arange(6)
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(values), 2
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n, dim, k", [(40, 3, 5), (61, 8, 10), (12, 2, 6), (9, 1, 5)])
@@ -356,6 +383,22 @@ class TestMatchesReference:
         d = pooled_matrix("mixed", 80, 100, seed=2)
         assert_same_graph(outcome(kmst, d, 10), outcome(reference_kmst, d, 10))
 
+    @pytest.mark.parametrize("case", ["undercut", "three_way_tie", "hub"])
+    def test_constructed(self, case):
+        d, k = constructed(case)
+        got = outcome(kmst, d, k)
+        assert_same_graph(got, outcome(reference_kmst, d, k))
+        if case == "hub":
+            assert got[0] == 2 and got[1].startswith("layer 2 of 2 cannot be completed")
+
+    def test_mst_with_one_pair_excluded_three_times(self):
+        # listed twice as given and once reversed; the path's own edge (2, 3)
+        d = dmat([0.0, 1.0, 2.0, 3.0, 4.0])
+        excluded = [(2, 3), (3, 2), (2, 3), (0, 4)]
+        got = mst(d, excluded)
+        assert (2, 3) not in pairs(got)
+        assert got == reference_mst(d, excluded)
+
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(KINDS),
@@ -373,6 +416,42 @@ class TestMatchesReference:
         excluded = [tuple(int(v) for v in pair)
                     for pair in np.random.default_rng(seed).integers(0, n, (n, 2))]
         assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
+
+
+# kmst's arrays on fixed pools, as sha256 of the ei, ej, weight and layer
+# bytes in that order. Any change to an edge, a weight bit, a layer or the
+# construction order changes a digest, so a faster construction must keep
+# them, and an intended output change records new ones and says so.
+PINNED = [
+    (("gaussian", 300, 8, 41, False, False),
+     "a260ef0c9d4233893c98b66f955772b9c1c87274805a865af8a47f0d4812feb0"),
+    (("binary", 300, 16, 42, False, False),
+     "d06c1dbe0846a763975f5631c9cc2466baedd45dfe69c966cccdf79f82cc7e08"),
+    (("mixed", 300, 100, 43, False, False),
+     "f90f2d3ec80bc42a3e5c8da7227fa9b3e1a8fef37a2c8cab0f8dbcd2b799067e"),
+    (("ternary", 200, 3, 44, True, True),
+     "e928c713e0773b8bb9d17721a254e978fadf1e3e5eb66a90ed4e8e696c743436"),
+]
+
+
+@pytest.mark.parametrize("pool, digest", PINNED, ids=[p[0][0] for p in PINNED])
+def test_kmst_bytes_are_pinned(pool, digest):
+    g = kmst(pooled_matrix(*pool), 10)
+    h = hashlib.sha256()
+    for part in (g.ei, g.ej, g.weight, g.layer):
+        h.update(part.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("size", [0, 1, 4, 66, 1000])
+@pytest.mark.parametrize("n_nodes", [2, 4000, 2**32 + 15, 3 * 10**9])
+def test_pair_rank_matches_reference(size, n_nodes):
+    rng = np.random.default_rng([size, n_nodes])
+    lo, hi = np.sort(rng.integers(0, n_nodes, (2, size)), axis=0)
+    got = _pair_rank(n_nodes, lo, hi)
+    want = reference_pair_rank(n_nodes, lo, hi)
+    assert got.dtype == want.dtype == np.uint64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestArrayContract:
