@@ -7,13 +7,19 @@ statistic is the squared Mahalanobis deviation of the observed counts
 from that null. Large values say the two sets occupy space differently.
 
 Closed forms (G = edge count of the union graph, C = pairs of edges
-sharing a node, N = n + m):
+sharing a node, N = n + m, perm(n, r) = n(n-1)...(n-r+1)). Under a
+uniform relabeling, r given distinct nodes take one of `count` given
+label patterns with probability
 
-    mu1      = G n(n-1) / (N(N-1))
+    share(count, r) = count / (N(N-1)...(N-r+1))
+
+and the moments are
+
+    mu1      = G share(perm(n, 2), 2)
     Sigma11  = mu1 (1 - mu1)
-               + 2C n(n-1)(n-2) / (N(N-1)(N-2))
-               + (G(G-1) - 2C) n(n-1)(n-2)(n-3) / (N(N-1)(N-2)(N-3))
-    Sigma12  = (G(G-1) - 2C) nm(n-1)(m-1) / (N(N-1)(N-2)(N-3)) - mu1 mu2
+               + 2C share(perm(n, 3), 3)
+               + (G(G-1) - 2C) share(perm(n, 4), 4)
+    Sigma12  = (G(G-1) - 2C) share(perm(n, 2) perm(m, 2), 4) - mu1 mu2
 
 with mu2 and Sigma22 obtained by swapping n and m. These follow from
 splitting E[R1^2] over identical, node-sharing, and disjoint edge pairs;
@@ -24,6 +30,7 @@ on small instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +40,6 @@ from .errors import (
     InvalidTrials,
     SingularCovariance,
     SizeMismatch,
-    TooFewPoints,
 )
 from .metricspace import (
     DistanceMatrix,
@@ -152,30 +158,27 @@ def _within_counts(g: SpanningGraph, first) -> tuple:
 
 
 def null_moments(g: SpanningGraph, n: int, m: int) -> NullMoments:
-    """Analytic mean and covariance of (R1, R2) over uniform relabelings."""
-    n, m = _integer(n, "n"), _integer(m, "m")
-    big_n = n + m
-    if big_n < 4:
-        raise TooFewPoints(f"null covariance needs n + m >= 4, got {big_n}")
-    _check_cover(g.n_nodes, PooledLabels(n, m))
+    """Analytic mean and covariance of (R1, R2) over uniform relabelings:
+    the module docstring's closed form."""
+    labels = PooledLabels(n, m)
+    _check_cover(g.n_nodes, labels)
+    n, m, nn = labels.n, labels.m, float(labels.n_total)
+
+    def share(count, r):
+        # the denominator is multiplied as floats from the left, N first:
+        # every report's bytes depend on that rounding order
+        return count / math.prod(nn - i for i in range(r))
+
     edges = float(g.n_edges)
     c = degree_statistic(g)
-    nn = float(big_n)
-    # probability that 2, 3, 4 specific distinct nodes all land in the
-    # first set, and the within-first/within-second pair probability
-    p2a = (n * (n - 1)) / (nn * (nn - 1))
-    p2b = (m * (m - 1)) / (nn * (nn - 1))
-    p3a = (n * (n - 1) * (n - 2)) / (nn * (nn - 1) * (nn - 2))
-    p3b = (m * (m - 1) * (m - 2)) / (nn * (nn - 1) * (nn - 2))
-    p4a = (n * (n - 1) * (n - 2) * (n - 3)) / (nn * (nn - 1) * (nn - 2) * (nn - 3))
-    p4b = (m * (m - 1) * (m - 2) * (m - 3)) / (nn * (nn - 1) * (nn - 2) * (nn - 3))
-    pcross = (n * (n - 1) * m * (m - 1)) / (nn * (nn - 1) * (nn - 2) * (nn - 3))
-    mu1 = edges * p2a
-    mu2 = edges * p2b
+    mu1 = edges * share(math.perm(n, 2), 2)
+    mu2 = edges * share(math.perm(m, 2), 2)
     disjoint_pairs = edges * (edges - 1.0) - 2.0 * c
-    s11 = mu1 * (1.0 - mu1) + 2.0 * c * p3a + disjoint_pairs * p4a
-    s22 = mu2 * (1.0 - mu2) + 2.0 * c * p3b + disjoint_pairs * p4b
-    s12 = disjoint_pairs * pcross - mu1 * mu2
+    s11 = (mu1 * (1.0 - mu1) + 2.0 * c * share(math.perm(n, 3), 3)
+           + disjoint_pairs * share(math.perm(n, 4), 4))
+    s22 = (mu2 * (1.0 - mu2) + 2.0 * c * share(math.perm(m, 3), 3)
+           + disjoint_pairs * share(math.perm(m, 4), 4))
+    s12 = disjoint_pairs * share(math.perm(n, 2) * math.perm(m, 2), 4) - mu1 * mu2
     sigma = np.array([[s11, s12], [s12, s22]])
     return NullMoments(mu1=mu1, mu2=mu2, sigma=sigma, c=c, n_edges=g.n_edges)
 

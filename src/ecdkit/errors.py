@@ -52,10 +52,6 @@ class TooFewSamples(InputError):
     pass
 
 
-class TooFewPoints(InputError):
-    pass
-
-
 class SizeMismatch(InputError):
     pass
 

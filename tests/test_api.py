@@ -44,7 +44,6 @@ NAMES = [
     "SingularCovariance",
     "SizeMismatch",
     "SpanningGraph",
-    "TooFewPoints",
     "TooFewSamples",
     "coverage",
     "cross_distances",
@@ -188,7 +187,6 @@ ERROR_BASES = {
     "SchemaError": "InputError",
     "SingularCovariance": "NumericError",
     "SizeMismatch": "InputError",
-    "TooFewPoints": "InputError",
     "TooFewSamples": "InputError",
 }
 

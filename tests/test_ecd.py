@@ -5,8 +5,13 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from moments_reference import reference_null_moments
 
 from ecdkit import (
     DisconnectedError,
@@ -19,7 +24,6 @@ from ecdkit import (
     SingularCovariance,
     SizeMismatch,
     SpanningGraph,
-    TooFewPoints,
     degree_statistic,
     ecd,
     ecd_from_distances,
@@ -144,11 +148,14 @@ class TestNullMoments:
         assert exc.value.determinant == 0.0
 
     def test_too_few_points(self):
-        pts = FeatureSet(np.array([0.0, 1.0, 2.0]))
+        # a split of fewer than 4 points has a side below 2, so the split
+        # rule rejects it before any moment is formed
         d = pairwise_distances(FeatureSet(np.array([0.0, 1.0])), FeatureSet(np.array([2.0])))
         g = kmst(d, k=1)
-        with pytest.raises(TooFewPoints):
-            null_moments(g, 2, 1)
+        for n, m in ((2, 1), (1, 2), (0, 3), (5, -3)):
+            with pytest.raises(SizeMismatch, match=rf"^each set needs at least 2 points, "
+                                                   rf"got sizes \({n}, {m}\)$"):
+                null_moments(g, n, m)
 
     def test_tiny_side_rejected(self):
         g, n, m = random_graph(103)
@@ -193,6 +200,61 @@ class TestNullMoments:
         variant = mu1 * (1 - mu1) + 2 * C * p3 + (G * (G - 1) - 2 * C) * p4_variant
         assert abs(good - exact) / exact < 1e-12
         assert abs(variant - exact) / exact > 0.5
+
+
+def assert_same_bits(got, want):
+    """Every number of two NullMoments equal to the bit."""
+    assert got.n_edges == want.n_edges
+    for a, b in ((got.mu1, want.mu1), (got.mu2, want.mu2), (got.c, want.c)):
+        assert type(a) is type(b) and a.hex() == b.hex()
+    assert got.sigma.dtype == want.sigma.dtype and got.sigma.shape == want.sigma.shape
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+
+
+class TestMatchesFrozenFormula:
+    """null_moments against the frozen hand-expanded formula of
+    moments_reference, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pool=st.sampled_from(["gaussian", "binary", "duplicates"]),
+        n_total=st.integers(4, 60),
+        first_share=st.floats(0.0, 1.0),
+        k_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kmst_graphs(self, pool, n_total, first_share, k_share, seed):
+        rng = np.random.default_rng(seed)
+        if pool == "gaussian":
+            pts = rng.standard_normal((n_total, 3))
+        elif pool == "binary":
+            pts = rng.choice([-1.0, 1.0], (n_total, 4))
+        else:
+            pts = rng.standard_normal((3, 2))[rng.integers(0, 3, n_total)]
+        n = 2 + int(first_share * (n_total - 4))  # 2..N-2, equal or not
+        k = 1 + int(k_share * (n_total // 4 - 1))  # 1..N/4
+        d = pairwise_distances(FeatureSet(pts[:n]), FeatureSet(pts[n:]))
+        try:
+            g = kmst(d, k)
+        except DisconnectedError:
+            g = kmst(d, 1)
+        for first, second in ((n, n_total - n), (n_total - n, n)):
+            assert_same_bits(null_moments(g, first, second),
+                             reference_null_moments(g, first, second))
+
+    @pytest.mark.parametrize("n_total", [10**6, 2 * 10**6 + 1, 10**7 + 3, 2 * 10**7])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_large_synthetic(self, n_total, k):
+        # null_moments reads a graph's node count, edge count and degrees
+        # (through C) only. A short degree array whose squares sum to a
+        # k-MST's order of magnitude on N nodes stands in for the full one.
+        rng = np.random.default_rng([n_total, k])
+        scale = np.sqrt(n_total / 1000)
+        degrees = np.rint(rng.integers(1, 4 * k + 1, 1000) * scale).astype(np.int64)
+        g = SimpleNamespace(n_nodes=n_total, n_edges=k * (n_total - 1), degrees=degrees)
+        for n in (2, 3, 4, n_total // 3, n_total // 2, n_total - 4, n_total - 3, n_total - 2):
+            m = n_total - n
+            assert_same_bits(null_moments(g, n, m), reference_null_moments(g, n, m))
 
 
 class TestPermutationOracle:

@@ -13,11 +13,16 @@ scipy is imported inside the functions that compute a distance or an
 eigenvalue, so the CLI commands that do neither start without it. A
 static check finds a scipy import that runs at module import; child
 interpreters confirm which commands load scipy and which do not.
+
+The micro-benchmarks under bench/ sit outside the suite's testpaths, so
+one more child collects them: a public name they import that goes away
+fails here, not only when someone next runs them.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,3 +225,17 @@ def test_feature_mode_loads_scipy_and_matches_library(files, command):
         payload = measures_from_features(a, b).to_json_dict()
         payload.update(n=a.n_points, m=b.n_points)
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_bench_collects():
+    # bench/ lies outside testpaths, so only this child imports it here:
+    # a public name it uses that is renamed or removed fails collection
+    root = Path(ecdkit.__file__).parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    collected = re.search(r"^(\d+) tests? collected", child.stdout, re.MULTILINE)
+    assert collected and int(collected.group(1)) >= 23, child.stdout
