@@ -33,8 +33,8 @@ from .spanning import DEFAULT_K, SpanningGraph, _check_k
 
 def _load(args) -> tuple:
     """The two sets to compare: two FeatureSets, or a DistanceMatrix and
-    its PooledLabels(split, N - split). Mode errors, then --metric with
-    --distances, are raised before any file is opened."""
+    its PooledLabels(split, N - split). Mode errors are raised before any
+    file is opened."""
     feature = args.set_a is not None or args.set_b is not None
     distance = args.distances is not None or args.split is not None
     if feature and distance:
@@ -47,8 +47,6 @@ def _load(args) -> tuple:
         raise InvalidSpec("provide --set-a/--set-b or --distances with --split")
     if args.split is None:
         raise InvalidSpec("distance mode needs --split")
-    if args.metric is not None:
-        raise InvalidSpec("--metric applies to feature files; a distance matrix is already measured")
     d = load_distance_csv(args.distances)
     return d, PooledLabels(args.split, d.n_points - args.split)
 
@@ -75,18 +73,17 @@ def cmd_ecd(args) -> int:
     x, y = _load(args)
     features = isinstance(x, FeatureSet)
     n, m = (x.n_points, y.n_points) if features else (y.n, y.m)
-    metric = {} if args.metric is None else {"metric": args.metric.replace("-", "_")}
     if args.rounds is not None or n > m:
         rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
         if args.seed is None:
             raise InvalidSpec("subsampling draws random subsets; provide --seed")
         run = ecd_subsampled if features else ecd_subsampled_from_distances
-        rep = run(x, y, args.k, rounds, args.seed, **metric)
+        rep = run(x, y, args.k, rounds, args.seed)
     else:
         # no library call checks a seed that is only recorded: check it before scoring
         seed = args.seed if args.seed is None else _seed(args.seed)
         run = ecd if features else ecd_from_distances
-        rep = dataclasses.replace(run(x, y, args.k, **metric), seed=seed)
+        rep = dataclasses.replace(run(x, y, args.k), seed=seed)
     if args.dump_graph:
         _dump_graph_csv(rep.graph, args.dump_graph)
     _write_json(rep.to_json_dict(), args.out)
@@ -158,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("ecd", help="edge-count statistic report (JSON)")
     add_io(pe)
     pe.add_argument("--k", type=int, default=DEFAULT_K, help="tree multiplicity")
-    pe.add_argument("--metric", choices=["euclidean", "squared-euclidean"],
-                    help="feature-mode distance (default euclidean); "
-                         "rejected with --distances")
     pe.add_argument("--seed", type=int, help="seed for subsampling: a non-negative integer")
     pe.add_argument("--rounds", type=int,
                     help="subsample rounds (default 10 when the first set is larger)")
@@ -170,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("measures", help="coverage / matching distance / frechet (JSON)")
     add_io(pm)
-    pm.set_defaults(func=cmd_measures, metric=None)
+    pm.set_defaults(func=cmd_measures)
 
     px = sub.add_parser("experiment", help="synthetic study runners (CSV)")
     xsub = px.add_subparsers(dest="experiment", required=True)

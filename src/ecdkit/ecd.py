@@ -231,12 +231,16 @@ def ecd_from_distances(
     )
 
 
-def ecd(
-    a: FeatureSet, b: FeatureSet, k: int = DEFAULT_K, metric: str = "euclidean"
-) -> EcdReport:
-    """Full pipeline: pooled distances, k-MST, edge counts, statistic."""
+def ecd(a: FeatureSet, b: FeatureSet, k: int = DEFAULT_K) -> EcdReport:
+    """Full pipeline: pooled Euclidean distances, k-MST, edge counts, statistic.
+
+    A spanning tree depends only on the order of its edge weights, so any
+    strictly increasing function of the distances (their squares, say)
+    gives this report too, up to float rounding; :func:`ecd_from_distances`
+    scores such a matrix.
+    """
     _check_k(k)  # before the pooled matrix is computed
-    d = pairwise_distances(a, b, metric)
+    d = pairwise_distances(a, b)
     labels = PooledLabels(n=a.n_points, m=b.n_points)
     return ecd_from_distances(d, labels, k)
 
@@ -363,7 +367,6 @@ def ecd_subsampled(
     k: int = DEFAULT_K,
     rounds: int = DEFAULT_ROUNDS,
     seed: int = 0,
-    metric: str = "euclidean",
 ) -> EcdReport:
     """Average the statistic over random size-|b| subsets of the first set.
 
@@ -374,7 +377,7 @@ def ecd_subsampled(
     oversized first set is never pooled whole.
     """
     def pooled(idx):
-        return pairwise_distances(FeatureSet(a_large.points[idx]), b, metric)
+        return pairwise_distances(FeatureSet(a_large.points[idx]), b)
 
     _check_rounds(rounds)
     return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)

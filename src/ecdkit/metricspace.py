@@ -34,13 +34,9 @@ from .errors import (
 )
 from .numerics import _as_symmetric, _real_array
 
-METRICS = ("euclidean", "squared_euclidean")
-
 #: Default slack when ingesting externally produced distance matrices;
 #: descriptor pipelines routinely emit rounding noise of this order.
 INGEST_TOLERANCE = 1e-9
-
-_CDIST_NAME = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}
 
 #: Rows per strip of the pooled matrix; a strip's distances are the only
 #: temporary beside the result.
@@ -160,14 +156,8 @@ class PooledLabels:
         return self.n + self.m
 
 
-def _check_metric(metric: str) -> str:
-    if metric not in METRICS:
-        raise InvalidSpec(f"unknown metric {metric!r}; choose from {METRICS}")
-    return _CDIST_NAME[metric]
-
-
-def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> DistanceMatrix:
-    """Dense distance matrix over the pooled rows ``[a; b]``.
+def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
+    """Dense Euclidean distance matrix over the pooled rows ``[a; b]``.
 
     The matrix is filled in place, one strip of at most ``_STRIP_ROWS``
     rows at a time, walking the rows of `a` and then the rows of `b`, so
@@ -190,7 +180,6 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
 
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
-    name = _check_metric(metric)
     # once per set, a no-op for the usual input: scipy would copy each strip
     x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
     n, total = len(x), len(x) + len(y)
@@ -201,14 +190,14 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
             s1 = min(s0 + _STRIP_ROWS, len(pts))
             rows = pts[s0:s1]
             i0, i1 = start + s0, start + s1
-            values[i0:i1, i0:i1] = squareform(pdist(rows, metric=name))
+            values[i0:i1, i0:i1] = squareform(pdist(rows))
             # the later rows lie in order: the rest of this set, then b after a strip of a
             j0 = i1
             for later in (pts[s1:], *others):
                 j1 = j0 + len(later)
                 if j1 > j0:  # the last strip of a set has no rest of it
                     block = buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-                    cdist(rows, later, metric=name, out=block)
+                    cdist(rows, later, out=block)
                     values[i0:i1, j0:j1] = block
                     values[j0:j1, i0:i1] = block.T
                 j0 = j1
@@ -220,14 +209,13 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") 
     return _by_construction(values)
 
 
-def cross_distances(a: FeatureSet, b: FeatureSet, metric: str = "euclidean") -> np.ndarray:
-    """|a| x |b| matrix of distances from each a-point to each b-point."""
+def cross_distances(a: FeatureSet, b: FeatureSet) -> np.ndarray:
+    """|a| x |b| matrix of Euclidean distances from each a-point to each b-point."""
     from scipy.spatial.distance import cdist
 
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
-    name = _check_metric(metric)
-    return cdist(a.points, b.points, metric=name)
+    return cdist(a.points, b.points)
 
 
 def _check_tolerance(tolerance) -> float:

@@ -1,8 +1,10 @@
 """Static SVG line panels for experiment tables, no rendering dependency.
 
 One panel per measure: x is the swept variance, y the measure value, one
-polyline per dimension. Output is standalone SVG 1.1, small enough to
-diff and to validate as plain XML in tests.
+polyline per dimension, so a measure may have only one row at each
+(dim, variance_a): a variance sweep's table plots, a distribution grid's
+does not. Output is standalone SVG 1.1, small enough to diff and to
+validate as plain XML in tests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ def render_panel(table: ExperimentTable, measure_name: str) -> str:
     rows = [r for r in table.rows if r.measure_name == measure_name]
     if not rows:
         raise SchemaError(f"table has no rows for measure {measure_name!r}")
+    cells = {(r.dim, r.variance_a) for r in rows}
+    if len(cells) < len(rows):
+        raise SchemaError(
+            f"measure {measure_name!r} has more than one row at one (dim, variance_a); "
+            "a panel plots one value per dimension and variance"
+        )
     dims = sorted({r.dim for r in rows})
     x_lo, x_hi = _span([r.variance_a for r in rows])
     y_lo, y_hi = _span([r.value for r in rows])
@@ -119,20 +127,17 @@ def plot_table(table: ExperimentTable, out_stem: str) -> list:
     """Write one SVG per measure present in the table.
 
     Files are named `<out_stem>_<measure>.svg`; a trailing `.svg` on the
-    stem is stripped first. Returns the written paths in measure order.
+    stem is stripped first. Every panel is rendered before the first file
+    is written, so a table that cannot be plotted leaves no file behind.
+    Returns the written paths in measure order.
     """
     if not table.rows:
         raise SchemaError("cannot plot an empty table")
     stem = out_stem[:-4] if out_stem.endswith(".svg") else out_stem
-    measures = []
-    for r in table.rows:
-        if r.measure_name not in measures:
-            measures.append(r.measure_name)
-    written = []
-    for name in measures:
-        path = f"{stem}_{name}.svg"
+    measures = dict.fromkeys(r.measure_name for r in table.rows)
+    panels = {f"{stem}_{name}.svg": render_panel(table, name) for name in measures}
+    for path, svg in panels.items():
         with open(path, "w") as fh:
-            fh.write(render_panel(table, name))
+            fh.write(svg)
             fh.write("\n")
-        written.append(path)
-    return written
+    return list(panels)

@@ -5,9 +5,6 @@ the second and reports the marked fraction. The matching distance is the
 mean distance from each second-set point to its nearest first-set
 neighbor. The Fréchet measure compares Gaussians fitted to the two sets
 (squared-distance convention, the one used for descriptor networks).
-
-Nearest-neighbor measures always use plain euclidean distances; squared
-variants would change reported magnitudes, not just topology.
 """
 
 from __future__ import annotations
@@ -81,12 +78,12 @@ def _validated_cross(raw) -> np.ndarray:
 
 def coverage(a: FeatureSet, b: FeatureSet) -> float:
     """Fraction of b-points marked as euclidean nearest neighbor of some a-point."""
-    return measures_from_cross(cross_distances(a, b, "euclidean")).coverage
+    return measures_from_cross(cross_distances(a, b)).coverage
 
 
 def mmd(a: FeatureSet, b: FeatureSet) -> float:
     """Mean euclidean distance from each b-point to its closest a-point."""
-    return measures_from_cross(cross_distances(a, b, "euclidean")).mmd
+    return measures_from_cross(cross_distances(a, b)).mmd
 
 
 def fit_gaussian(x: FeatureSet) -> GaussianSummary:
@@ -124,7 +121,7 @@ def frechet_gaussian(p: GaussianSummary, q: GaussianSummary) -> float:
 def measures_from_features(a: FeatureSet, b: FeatureSet) -> MeasureResult:
     """All three measures from coordinates."""
     fre = frechet_gaussian(fit_gaussian(a), fit_gaussian(b))
-    return replace(measures_from_cross(cross_distances(a, b, "euclidean")), frechet=fre)
+    return replace(measures_from_cross(cross_distances(a, b)), frechet=fre)
 
 
 def measures_from_cross(cross) -> MeasureResult:

@@ -108,26 +108,21 @@ SIGNATURES = {
         "n_nodes: 'int', k: 'int') -> None"
     ),
     "coverage": "(a: 'FeatureSet', b: 'FeatureSet') -> 'float'",
-    "cross_distances": (
-        "(a: 'FeatureSet', b: 'FeatureSet', metric: 'str' = 'euclidean') -> 'np.ndarray'"
-    ),
+    "cross_distances": "(a: 'FeatureSet', b: 'FeatureSet') -> 'np.ndarray'",
     "degree_statistic": "(g: 'SpanningGraph') -> 'float'",
     "derive_seed": "(base_seed: 'int', *parts) -> 'int'",
     "distribution_grid": (
         "(dim: 'int' = 100, n: 'int' = 1000, k: 'int' = 10, seed: 'int' = 0, "
         "workers: 'int | None' = None) -> 'ExperimentTable'"
     ),
-    "ecd": (
-        "(a: 'FeatureSet', b: 'FeatureSet', k: 'int' = 10, "
-        "metric: 'str' = 'euclidean') -> 'EcdReport'"
-    ),
+    "ecd": "(a: 'FeatureSet', b: 'FeatureSet', k: 'int' = 10) -> 'EcdReport'",
     "ecd_from_distances": (
         "(d: 'DistanceMatrix', labels: 'PooledLabels', k: 'int' = 10) -> 'EcdReport'"
     ),
     "ecd_statistic": "(counts: 'EdgeCounts', moments: 'NullMoments') -> 'float'",
     "ecd_subsampled": (
         "(a_large: 'FeatureSet', b: 'FeatureSet', k: 'int' = 10, rounds: 'int' = 10, "
-        "seed: 'int' = 0, metric: 'str' = 'euclidean') -> 'EcdReport'"
+        "seed: 'int' = 0) -> 'EcdReport'"
     ),
     "ecd_subsampled_from_distances": (
         "(d: 'DistanceMatrix', labels: 'PooledLabels', k: 'int' = 10, "
@@ -145,10 +140,7 @@ SIGNATURES = {
     "mmd": "(a: 'FeatureSet', b: 'FeatureSet') -> 'float'",
     "mst": "(d: 'DistanceMatrix', excluded=())",
     "null_moments": "(g: 'SpanningGraph', n: 'int', m: 'int') -> 'NullMoments'",
-    "pairwise_distances": (
-        "(a: 'FeatureSet', b: 'FeatureSet', "
-        "metric: 'str' = 'euclidean') -> 'DistanceMatrix'"
-    ),
+    "pairwise_distances": "(a: 'FeatureSet', b: 'FeatureSet') -> 'DistanceMatrix'",
     "permutation_moments": (
         "(g: 'SpanningGraph', n: 'int', m: 'int', trials: 'int', "
         "seed: 'int') -> 'NullMoments'"

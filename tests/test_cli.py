@@ -63,16 +63,6 @@ class TestEcdCommand:
         assert code == 0
         assert payload["statistic"] == pytest.approx(1.5, rel=1e-12)
 
-    def test_squared_metric_same_statistic(self, pair_files, capsys):
-        a, b = pair_files
-        _, eu = run_json(capsys, ["ecd", "--set-a", a, "--set-b", b, "--k", "1"])
-        _, sq = run_json(
-            capsys,
-            ["ecd", "--set-a", a, "--set-b", b, "--k", "1",
-             "--metric", "squared-euclidean"],
-        )
-        assert sq["statistic"] == eu["statistic"]
-
     def test_out_file(self, pair_files, tmp_path, capsys):
         a, b = pair_files
         out = tmp_path / "report.json"
@@ -103,16 +93,13 @@ class TestEcdErrors:
         d = write_distance_matrix(tmp_path / "d.csv", np.zeros((4, 4)))
         assert main(["ecd", "--set-a", a, "--set-b", b, "--distances", d]) == 2
 
-    @pytest.mark.parametrize("metric", ["euclidean", "squared-euclidean"])
-    def test_metric_with_distances(self, tmp_path, capsys, metric):
-        # the matrix is already measured: a metric would be silently ignored
-        pts = np.array([0.0, 1.0, 10.0, 11.0])
-        d = write_distance_matrix(tmp_path / "d.csv", np.abs(pts[:, None] - pts[None, :]))
-        assert main(["ecd", "--distances", d, "--split", "2", "--k", "1",
-                     "--metric", metric]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--metric" in captured.err
+    def test_metric_is_not_an_option(self, pair_files, capsys):
+        # the statistic reads only the order of the distances: Euclidean is the one distance
+        a, b = pair_files
+        with pytest.raises(SystemExit) as exc:
+            main(["ecd", "--set-a", a, "--set-b", b, "--metric", "euclidean"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --metric" in capsys.readouterr().err
 
     def test_no_mode(self, capsys):
         assert main(["ecd"]) == 2
@@ -210,19 +197,6 @@ class TestDumpGraph:
         assert all(r[0] == "1" for r in body)
         weights = sorted(float(r[3]) for r in body)
         assert weights == [1.0, 1.0, 9.0]
-
-    # feature mode measures Euclidean distances unless --metric says otherwise
-    @pytest.mark.parametrize("metric, far", [(None, 9.0), ("euclidean", 9.0),
-                                             ("squared-euclidean", 81.0)])
-    def test_metric_sets_edge_weights(self, pair_files, tmp_path, capsys, metric, far):
-        a, b = pair_files
-        dump = tmp_path / "edges.csv"
-        extra = [] if metric is None else ["--metric", metric]
-        code = main(["ecd", "--set-a", a, "--set-b", b, "--k", "1", *extra,
-                     "--dump-graph", str(dump), "--out", str(tmp_path / "r.json")])
-        assert code == 0
-        with open(dump, newline="") as fh:
-            assert sorted(float(r[3]) for r in list(csv.reader(fh))[1:]) == [1.0, 1.0, far]
 
     def test_layer_count_scales_with_k(self, tmp_path, capsys):
         rng = np.random.default_rng(73)
@@ -345,6 +319,17 @@ class TestPlotCommand:
         ]
         for path in payload["written"]:
             ET.parse(path)
+
+    def test_grid_table_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "grid.csv"
+        assert main([
+            "experiment", "distribution-grid", "--seed", "6",
+            "--out", str(table), "--n", "24", "--k", "2", "--dim", "3",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["plot", "--table", str(table), "--out", str(tmp_path / "x")]) == 2
+        assert "more than one row at one (dim, variance_a)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*.svg"))
 
     def test_malformed_table(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

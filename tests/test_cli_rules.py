@@ -113,19 +113,12 @@ class TestInputLoader:
         assert opened == ["load_distance_csv"]
 
     @pytest.mark.parametrize("case", sorted(MODE_ERRORS))
-    @pytest.mark.parametrize("command", [["ecd"], ["ecd", "--metric", "euclidean"], ["measures"]],
-                             ids=["ecd", "ecd-metric", "measures"])
+    @pytest.mark.parametrize("command", [["ecd"], ["measures"]], ids=["ecd", "measures"])
     def test_mode_errors_open_no_file(self, command, case, tmp_path, capsys, opened, monkeypatch):
         argv, message = MODE_ERRORS[case]
         monkeypatch.chdir(tmp_path)  # none of the named files exists
         assert main([*command, *argv]) == 2
         assert message in capsys.readouterr().err
-        assert opened == []
-
-    def test_metric_with_distances_opens_no_file(self, tmp_path, capsys, opened, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["ecd", "--distances", "d.csv", "--split", "2", "--metric", "euclidean"]) == 2
-        assert "--metric applies to feature files" in capsys.readouterr().err
         assert opened == []
 
     @pytest.mark.parametrize("command", ["ecd", "measures"])

@@ -37,6 +37,7 @@ from ecdkit import (
     pairwise_distances,
     permutation_moments,
     permutation_samples,
+    validate_distance_matrix,
 )
 from ecdkit.ecd import subsample_round_indices
 
@@ -343,14 +344,22 @@ class TestSymmetriesAndInvariance:
         assert scaled.statistic == base.statistic
         assert scaled.counts == base.counts
 
-    def test_metric_choice_is_topology_only(self):
+    @pytest.mark.parametrize("pool", ["gaussian", "binary"])
+    def test_squared_distances_give_the_same_report(self, pool):
+        # a spanning tree reads only the order of its edge weights, so
+        # Euclidean is the one distance ecd needs to compute
         rng = np.random.default_rng(59)
-        a = FeatureSet(rng.standard_normal((12, 5)))
-        b = FeatureSet(rng.standard_normal((10, 5)))
-        eu = ecd(a, b, k=2, metric="euclidean")
-        sq = ecd(a, b, k=2, metric="squared_euclidean")
-        assert eu.statistic == sq.statistic
-        assert eu.counts == sq.counts
+        if pool == "gaussian":
+            pts = rng.standard_normal((40, 5))
+        else:
+            pts = rng.choice([-1.0, 1.0], (40, 8))  # tie-heavy: Hamming distances
+        a, b = FeatureSet(pts[:22]), FeatureSet(pts[22:])
+        plain = ecd(a, b, k=3)
+        squared = validate_distance_matrix(pairwise_distances(a, b).values ** 2)
+        rep = ecd_from_distances(squared, PooledLabels(22, 18), k=3)
+        assert json.dumps(rep.to_json_dict()) == json.dumps(plain.to_json_dict())
+        for name in ("ei", "ej", "layer"):
+            assert getattr(rep.graph, name).tobytes() == getattr(plain.graph, name).tobytes()
 
     def test_nonnegative_over_many_inputs(self):
         for seed in range(25):

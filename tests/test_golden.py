@@ -2,8 +2,8 @@
 
 Every input is generated here from fixed seeds, so nothing large is
 committed. A digest pins the exact bytes of one output: CLI `ecd` JSON
-(feature, distance and squared-euclidean modes, and a subsampled run with
-its `--dump-graph` CSV), CLI `measures` JSON in both modes, both runner
+(feature and distance modes, and a subsampled run with its
+`--dump-graph` CSV), CLI `measures` JSON in both modes, both runner
 CSVs at workers 1, 2 and 4 (one digest per seed, every worker count
 writing it), `permutation_samples` rows, `frechet_gaussian` as
 `float.hex`, and the `sample` and `subsample_round_indices` arrays.
@@ -91,10 +91,6 @@ ECD = {
         "1c361ca0a8649de910f6aa358cf3199054100393bfc512d4a45ea511db1fa9fd",
         "887ea65ede1341abd9b53de9fc6b0189dbe004eeaf7ee2bc7045e95a03098640",
     ),
-    "squared": (
-        "1c361ca0a8649de910f6aa358cf3199054100393bfc512d4a45ea511db1fa9fd",
-        "158d97d924b438efefa017e17e60f844670026694035d057e9af4a76138054a3",
-    ),
 }
 
 
@@ -103,8 +99,6 @@ def test_ecd_json_and_graph(files, mode):
     io = {
         "features": ["--set-a", files["a"], "--set-b", files["b"]],
         "distances": ["--distances", files["d"], "--split", "40"],
-        "squared": ["--set-a", files["a"], "--set-b", files["b"],
-                    "--metric", "squared-euclidean"],
     }[mode]
     graph = files["root"] / f"ecd-{mode}.csv"
     data = cli_bytes(["ecd", *io, "--k", "3", "--dump-graph", str(graph)],

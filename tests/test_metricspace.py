@@ -33,7 +33,6 @@ from ecdkit.metricspace import (
 ecd_module = importlib.import_module("ecdkit.ecd")  # the package exports a function `ecd`
 
 STRIP = metricspace._STRIP_ROWS
-SCIPY_NAME = {"euclidean": "euclidean", "squared_euclidean": "sqeuclidean"}
 
 
 def test_feature_set_coerces_1d_to_column():
@@ -74,34 +73,32 @@ def test_pairwise_distances_bitwise_symmetric():
     assert np.all(np.diagonal(d.values) == 0.0)
 
 
-def mirrored_cdist(a, b, metric):
+def mirrored_cdist(a, b):
     """The pooled matrix as cdist -> upper triangle -> mirror builds it."""
     pooled = np.vstack([a.points, b.points])
-    upper = np.triu(cdist(pooled, pooled, metric=SCIPY_NAME[metric]), k=1)
+    upper = np.triu(cdist(pooled, pooled, metric="euclidean"), k=1)
     return upper + upper.T
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize(
     "n, m, dim", [(15, 11, 4), (8, 9, 1), (100, 77, 32), (3, 2, 300), (500, 500, 1000)]
 )
-def test_pairwise_distances_bitwise_gate(metric, n, m, dim):
+def test_pairwise_distances_bitwise_gate(n, m, dim):
     rng = np.random.default_rng(n * m + dim)
     a = FeatureSet(rng.standard_normal((n, dim)))
     b = FeatureSet(rng.standard_normal((m, dim)) * 1.7 + 0.3)
-    d = pairwise_distances(a, b, metric).values
-    assert d.tobytes() == mirrored_cdist(a, b, metric).tobytes()
+    d = pairwise_distances(a, b).values
+    assert d.tobytes() == mirrored_cdist(a, b).tobytes()
     # the cross block is what coverage and MMD compute on their own
-    assert d[:n, n:].tobytes() == cross_distances(a, b, metric).tobytes()
+    assert d[:n, n:].tobytes() == cross_distances(a, b).tobytes()
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
-def test_pairwise_distances_overflow_is_not_finite(metric):
+def test_pairwise_distances_overflow_is_not_finite():
     # finite features whose distance overflows to inf
     a = FeatureSet(np.array([[1e200]]))
     b = FeatureSet(np.array([[-1e200]]))
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
-        pairwise_distances(a, b, metric)
+        pairwise_distances(a, b)
 
 
 def strip_inputs(kind, n, dim=5):
@@ -113,20 +110,18 @@ def strip_inputs(kind, n, dim=5):
     return rng.choice([0.0, -0.0, 0.75, -1.5], size=(n, dim))  # signed zeros
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("kind", ["duplicate", "binary", "signed_zero"])
 @pytest.mark.parametrize("n", [2, 3, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1])
-def test_pairwise_distances_strips_equal_whole_pdist(metric, kind, n):
+def test_pairwise_distances_strips_equal_whole_pdist(kind, n):
     pts = strip_inputs(kind, n)
-    d = pairwise_distances(FeatureSet(pts[:n // 2]), FeatureSet(pts[n // 2:]), metric).values
-    assert d.tobytes() == squareform(pdist(pts, SCIPY_NAME[metric])).tobytes()
+    d = pairwise_distances(FeatureSet(pts[:n // 2]), FeatureSet(pts[n // 2:])).values
+    assert d.tobytes() == squareform(pdist(pts, "euclidean")).tobytes()
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("layout", ["C", "F", "int"])
 @pytest.mark.parametrize("m", [1, 2, STRIP + 3])
 @pytest.mark.parametrize("n", [1, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 5])
-def test_pairwise_distances_strips_never_cross_the_split(metric, layout, m, n):
+def test_pairwise_distances_strips_never_cross_the_split(layout, m, n):
     # strips walk a, then b: wherever the split falls in the pooled strip
     # grid, every entry is still bitwise the whole pool's pdist
     rng = np.random.default_rng(n * 1000 + m)
@@ -136,27 +131,26 @@ def test_pairwise_distances_strips_never_cross_the_split(metric, layout, m, n):
         pa, pb = rng.standard_normal((n, 6)), rng.standard_normal((m, 6)) * 1.7 + 0.3
         if layout == "F":
             pa, pb = np.asfortranarray(pa), np.asfortranarray(pb)
-    d = pairwise_distances(FeatureSet(pa), FeatureSet(pb), metric).values
+    d = pairwise_distances(FeatureSet(pa), FeatureSet(pb)).values
     pooled = np.vstack([pa, pb]).astype(np.float64)
-    assert d.tobytes() == squareform(pdist(pooled, SCIPY_NAME[metric])).tobytes()
+    assert d.tobytes() == squareform(pdist(pooled, "euclidean")).tobytes()
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("i, j", [
     (99, 100),  # across the split: the last row of a and the first row of b
     (2 * STRIP - 1, 2 * STRIP),  # in the last off-diagonal strip
     (STRIP, 2 * STRIP - 1),  # inside a diagonal block
     (0, 1),  # inside the first diagonal block
 ])
-def test_pairwise_distances_overflow_in_one_block(metric, i, j):
+def test_pairwise_distances_overflow_in_one_block(i, j):
     n = 2 * STRIP + 1
     pts = np.random.default_rng(9).standard_normal((n, 2))
     # only the distance between rows i and j overflows
     pts[i, 0], pts[j, 0] = 1e154, -1e154
-    whole = squareform(pdist(pts, SCIPY_NAME[metric]))
+    whole = squareform(pdist(pts, "euclidean"))
     assert np.argwhere(~np.isfinite(whole)).tolist() == [[i, j], [j, i]]
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
-        pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]), metric)
+        pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]))
 
 
 @pytest.mark.parametrize("kernel", ["pdist", "cdist"])
@@ -182,9 +176,8 @@ def assert_passes_validation(d):
     assert checked.values.tobytes() == d.values.tobytes()
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
 @pytest.mark.parametrize("kind", ["gaussian", "binary", "duplicate"])
-def test_pairwise_distances_pass_validation(metric, kind):
+def test_pairwise_distances_pass_validation(kind):
     rng = np.random.default_rng(21)
     if kind == "gaussian":
         pts = rng.standard_normal((40, 6))
@@ -192,8 +185,7 @@ def test_pairwise_distances_pass_validation(metric, kind):
         pts = rng.choice([-1.0, 1.0], size=(40, 6))
     else:
         pts = rng.standard_normal((8, 6))[rng.integers(0, 8, 40)]
-    assert_passes_validation(pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:]),
-                                                metric))
+    assert_passes_validation(pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:])))
 
 
 def test_subsample_gather_passes_validation(monkeypatch):
@@ -241,21 +233,6 @@ def test_pairwise_distances_makes_no_pooled_copy():
     finally:
         tracemalloc.stop()
     assert peak - values.nbytes < 2 * 2**20
-
-
-def test_squared_metric_matches_squared_euclidean():
-    rng = np.random.default_rng(4)
-    a = FeatureSet(rng.standard_normal((6, 3)))
-    b = FeatureSet(rng.standard_normal((5, 3)))
-    d1 = pairwise_distances(a, b, "euclidean")
-    d2 = pairwise_distances(a, b, "squared_euclidean")
-    assert np.allclose(d2.values, d1.values**2, atol=1e-12)
-
-
-def test_unknown_metric_rejected():
-    a = FeatureSet(np.zeros((2, 1)))
-    with pytest.raises(InvalidSpec):
-        pairwise_distances(a, a, "manhattan")
 
 
 def test_dimension_mismatch():

@@ -70,6 +70,24 @@ class TestPlotTable:
         written = plot_table(make_table(), stem)
         assert written[0] == str(tmp_path / "sweep_ECD.svg")
 
+    def test_grid_table_rejected_before_any_file(self, tmp_path):
+        # six kind pairs share each (dim, variance_a): one polyline per dim
+        # would zigzag through them, so the table is refused, and the
+        # measure that plots on its own is not written either
+        rows = [ExperimentRow(
+            experiment_id="variance-sweep", kind_a="gaussian", kind_b="gaussian",
+            dim=2, variance_a=1.0, measure_name="ECD", value=2.0, seed=0, n=10, m=10, k=1,
+        )]
+        for kind_b in ("gaussian", "uniform", "binary"):
+            rows.append(ExperimentRow(
+                experiment_id="distribution-grid", kind_a="gaussian", kind_b=kind_b,
+                dim=2, variance_a=1.0, measure_name="FD", value=0.5, seed=0, n=10, m=10,
+                k=1,
+            ))
+        with pytest.raises(SchemaError, match=r"'FD' has more than one row"):
+            plot_table(ExperimentTable(rows=tuple(rows)), str(tmp_path / "grid"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             plot_table(ExperimentTable(rows=()), str(tmp_path / "x"))
