@@ -33,6 +33,9 @@ from ecdkit.metricspace import (
 ecd_module = importlib.import_module("ecdkit.ecd")  # the package exports a function `ecd`
 
 STRIP = metricspace._STRIP_ROWS
+# the gates pin pairwise_distances, bit for bit, to scipy under this metric
+# name, and their test ids carry it
+REFERENCE = pytest.mark.parametrize("metric", ["euclidean"])
 
 
 def test_feature_set_coerces_1d_to_column():
@@ -73,30 +76,33 @@ def test_pairwise_distances_bitwise_symmetric():
     assert np.all(np.diagonal(d.values) == 0.0)
 
 
-def mirrored_cdist(a, b):
+def mirrored_cdist(a, b, metric):
     """The pooled matrix as cdist -> upper triangle -> mirror builds it."""
     pooled = np.vstack([a.points, b.points])
-    upper = np.triu(cdist(pooled, pooled, metric="euclidean"), k=1)
+    upper = np.triu(cdist(pooled, pooled, metric=metric), k=1)
     return upper + upper.T
 
 
+@REFERENCE
 @pytest.mark.parametrize(
     "n, m, dim", [(15, 11, 4), (8, 9, 1), (100, 77, 32), (3, 2, 300), (500, 500, 1000)]
 )
-def test_pairwise_distances_bitwise_gate(n, m, dim):
+def test_pairwise_distances_bitwise_gate(metric, n, m, dim):
     rng = np.random.default_rng(n * m + dim)
     a = FeatureSet(rng.standard_normal((n, dim)))
     b = FeatureSet(rng.standard_normal((m, dim)) * 1.7 + 0.3)
     d = pairwise_distances(a, b).values
-    assert d.tobytes() == mirrored_cdist(a, b).tobytes()
+    assert d.tobytes() == mirrored_cdist(a, b, metric).tobytes()
     # the cross block is what coverage and MMD compute on their own
     assert d[:n, n:].tobytes() == cross_distances(a, b).tobytes()
 
 
-def test_pairwise_distances_overflow_is_not_finite():
+@REFERENCE
+def test_pairwise_distances_overflow_is_not_finite(metric):
     # finite features whose distance overflows to inf
     a = FeatureSet(np.array([[1e200]]))
     b = FeatureSet(np.array([[-1e200]]))
+    assert np.isinf(cdist(a.points, b.points, metric)).all()
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
         pairwise_distances(a, b)
 
@@ -110,18 +116,20 @@ def strip_inputs(kind, n, dim=5):
     return rng.choice([0.0, -0.0, 0.75, -1.5], size=(n, dim))  # signed zeros
 
 
+@REFERENCE
 @pytest.mark.parametrize("kind", ["duplicate", "binary", "signed_zero"])
 @pytest.mark.parametrize("n", [2, 3, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1])
-def test_pairwise_distances_strips_equal_whole_pdist(kind, n):
+def test_pairwise_distances_strips_equal_whole_pdist(metric, kind, n):
     pts = strip_inputs(kind, n)
     d = pairwise_distances(FeatureSet(pts[:n // 2]), FeatureSet(pts[n // 2:])).values
-    assert d.tobytes() == squareform(pdist(pts, "euclidean")).tobytes()
+    assert d.tobytes() == squareform(pdist(pts, metric)).tobytes()
 
 
+@REFERENCE
 @pytest.mark.parametrize("layout", ["C", "F", "int"])
 @pytest.mark.parametrize("m", [1, 2, STRIP + 3])
 @pytest.mark.parametrize("n", [1, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 5])
-def test_pairwise_distances_strips_never_cross_the_split(layout, m, n):
+def test_pairwise_distances_strips_never_cross_the_split(metric, layout, m, n):
     # strips walk a, then b: wherever the split falls in the pooled strip
     # grid, every entry is still bitwise the whole pool's pdist
     rng = np.random.default_rng(n * 1000 + m)
@@ -133,21 +141,22 @@ def test_pairwise_distances_strips_never_cross_the_split(layout, m, n):
             pa, pb = np.asfortranarray(pa), np.asfortranarray(pb)
     d = pairwise_distances(FeatureSet(pa), FeatureSet(pb)).values
     pooled = np.vstack([pa, pb]).astype(np.float64)
-    assert d.tobytes() == squareform(pdist(pooled, "euclidean")).tobytes()
+    assert d.tobytes() == squareform(pdist(pooled, metric)).tobytes()
 
 
+@REFERENCE
 @pytest.mark.parametrize("i, j", [
     (99, 100),  # across the split: the last row of a and the first row of b
     (2 * STRIP - 1, 2 * STRIP),  # in the last off-diagonal strip
     (STRIP, 2 * STRIP - 1),  # inside a diagonal block
     (0, 1),  # inside the first diagonal block
 ])
-def test_pairwise_distances_overflow_in_one_block(i, j):
+def test_pairwise_distances_overflow_in_one_block(metric, i, j):
     n = 2 * STRIP + 1
     pts = np.random.default_rng(9).standard_normal((n, 2))
     # only the distance between rows i and j overflows
     pts[i, 0], pts[j, 0] = 1e154, -1e154
-    whole = squareform(pdist(pts, "euclidean"))
+    whole = squareform(pdist(pts, metric))
     assert np.argwhere(~np.isfinite(whole)).tolist() == [[i, j], [j, i]]
     with pytest.raises(NonFiniteInput, match=r"^distances must be finite$"):
         pairwise_distances(FeatureSet(pts[:100]), FeatureSet(pts[100:]))
@@ -176,8 +185,9 @@ def assert_passes_validation(d):
     assert checked.values.tobytes() == d.values.tobytes()
 
 
+@REFERENCE
 @pytest.mark.parametrize("kind", ["gaussian", "binary", "duplicate"])
-def test_pairwise_distances_pass_validation(kind):
+def test_pairwise_distances_pass_validation(metric, kind):
     rng = np.random.default_rng(21)
     if kind == "gaussian":
         pts = rng.standard_normal((40, 6))
@@ -185,7 +195,9 @@ def test_pairwise_distances_pass_validation(kind):
         pts = rng.choice([-1.0, 1.0], size=(40, 6))
     else:
         pts = rng.standard_normal((8, 6))[rng.integers(0, 8, 40)]
-    assert_passes_validation(pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:])))
+    d = pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:]))
+    assert d.values.tobytes() == squareform(pdist(pts, metric)).tobytes()
+    assert_passes_validation(d)
 
 
 def test_subsample_gather_passes_validation(monkeypatch):
