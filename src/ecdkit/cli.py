@@ -69,19 +69,19 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
 
 
 def cmd_ecd(args) -> int:
-    _check_k(args.k)  # before any file is read
+    # the k and seed rules, before any file is read
+    _check_k(args.k)
+    seed = args.seed if args.seed is None else _seed(args.seed)
     x, y = _load(args)
     features = isinstance(x, FeatureSet)
     n, m = (x.n_points, y.n_points) if features else (y.n, y.m)
     if args.rounds is not None or n > m:
         rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
-        if args.seed is None:
+        if seed is None:
             raise InvalidSpec("subsampling draws random subsets; provide --seed")
         run = ecd_subsampled if features else ecd_subsampled_from_distances
-        rep = run(x, y, args.k, rounds, args.seed)
+        rep = run(x, y, args.k, rounds, seed)
     else:
-        # no library call checks a seed that is only recorded: check it before scoring
-        seed = args.seed if args.seed is None else _seed(args.seed)
         run = ecd if features else ecd_from_distances
         rep = dataclasses.replace(run(x, y, args.k), seed=seed)
     if args.dump_graph:

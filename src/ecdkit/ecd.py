@@ -101,7 +101,7 @@ class EcdReport:
     (subsample_rounds > 1) the statistic is the mean over rounds while
     graph, counts and moments describe the first round only, so
     recomputed_statistic() gives round 0's statistic, not the reported
-    mean.
+    mean, and n and m are the round's sizes: both are the second set's.
     """
 
     statistic: float
@@ -239,10 +239,9 @@ def ecd(a: FeatureSet, b: FeatureSet, k: int = DEFAULT_K) -> EcdReport:
     gives this report too, up to float rounding; :func:`ecd_from_distances`
     scores such a matrix.
     """
-    _check_k(k)  # before the pooled matrix is computed
-    d = pairwise_distances(a, b)
+    _check_k(k)  # the k and split rules, before the pooled matrix is computed
     labels = PooledLabels(n=a.n_points, m=b.n_points)
-    return ecd_from_distances(d, labels, k)
+    return ecd_from_distances(pairwise_distances(a, b), labels, k)
 
 
 # --- seeds, random streams and permutation oracles --------------------------
@@ -316,9 +315,12 @@ def subsample_round_indices(seed: int, round_index: int, pool: int, take: int) -
     """Sorted indices of the subset drawn in one subsample round.
 
     Round r draws from a PCG64 generator seeded by the pair (seed, r), so
-    any round can be reconstructed in isolation.
+    any round can be reconstructed in isolation. The one size rule of a
+    draw: `take` is at least 0 and at most `pool`.
     """
-    pool, take = _integer(pool, "pool"), _integer(take, "take")
+    pool, take = _integer(pool, "pool"), _integer(take, "take", 0)
+    if take > pool:
+        raise GeneratedSetTooSmall(f"first set has {pool} points, cannot subsample to {take}")
     idx = _stream(seed, round_index).permutation(pool)[:take]
     idx.sort()
     return idx
@@ -335,25 +337,20 @@ def _subsample(pooled, n_large: int, m: int, k: int, rounds: int, seed: int) -> 
     followed by all m rows of the second set. Round r draws idx from a
     generator seeded by (seed, r); the report keeps the first round's
     graph, counts and moments and the mean statistic across rounds.
-    Callers check the round count first; the size, the seed and k are
-    checked here, in that order, before round 0.
+    Callers check the round count first; the seed, k and the split of a
+    round are checked here, in that order, before round 0, whose draw
+    checks the size before any distance.
     """
-    if n_large < m:
-        raise GeneratedSetTooSmall(
-            f"first set has {n_large} points, cannot subsample to {m}"
-        )
-    seed = _seed(seed)
-    _check_k(k)
+    seed, k, labels = _seed(seed), _check_k(k), PooledLabels(n=m, m=m)
     total = 0.0
     for r in range(rounds):
         # with equal sizes every round draws the whole first set, so the
         # round-0 statistic is added again instead of rescored
         if r == 0 or n_large > m:
             # one expression, so no name keeps this round's matrix alive
-            # while the next round fills its own; labels after the matrix,
-            # so a dimension mismatch is reported first
+            # while the next round fills its own
             rep = ecd_from_distances(
-                pooled(subsample_round_indices(seed, r, n_large, m)), PooledLabels(n=m, m=m), k
+                pooled(subsample_round_indices(seed, r, n_large, m)), labels, k
             )
         if r == 0:
             first = rep

@@ -62,11 +62,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}; choose from {KINDS}")
-        dim = _integer(self.dim, "dim", 1)
-        try:
-            variance = float(self.variance)
-        except (TypeError, ValueError):
-            variance = math.nan
+        dim, variance = _integer(self.dim, "dim", 1), _real(self.variance, "variance")
         if not (0.0 < variance < math.inf):
             raise InvalidSpec(f"variance must be positive and finite, got {self.variance}")
         if self.kind != "gaussian" and variance != 1.0:
@@ -100,13 +96,9 @@ def derive_seed(base_seed: int, *parts) -> int:
     across platforms and numpy versions. Floats are rendered via repr
     (shortest round-trip form).
     """
-    fields = [str(_seed(base_seed))]
-    for p in parts:
-        if isinstance(p, float):
-            fields.append(repr(p))
-        else:
-            fields.append(str(p))
-    digest = hashlib.sha256(":".join(fields).encode("ascii")).digest()
+    words = [str(_seed(base_seed))]
+    words += [repr(p) if isinstance(p, float) else str(p) for p in parts]
+    digest = hashlib.sha256(":".join(words).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -295,9 +287,7 @@ def variance_sweep(
 
     The second set is always unit-variance gaussian of the same dim.
     """
-    n, _, seed = _integer(n, "n"), _integer(k, "k"), _seed(seed)
-    k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
-    n = _integer(n, "n", 4)
+    seed, k, n = _seed(seed), _check_k(k), PooledLabels(n, n).n
     if variances is None:
         variances = default_sweep_variances()
     dims, variances = _axis(dims, "dims"), _axis(variances, "variances")
@@ -315,10 +305,9 @@ def distribution_grid(
     workers: int | None = None,
 ) -> ExperimentTable:
     """ECD and FID over the six unordered pairs of the three unit laws."""
-    dim, n, _, seed = _integer(dim, "dim"), _integer(n, "n"), _integer(k, "k"), _seed(seed)
-    k = _check_k(k)  # after the integer rule, so a non-integer k stays InvalidSpec
-    n = _integer(n, "n", 4)
+    seed, k, n = _seed(seed), _check_k(k), PooledLabels(n, n).n
     for kind in KINDS:  # every law a cell draws from is checked before any cell runs
-        DistributionSpec(kind, dim)
-    configs = [(seed, kind_a, kind_b, dim, n, k) for kind_a, kind_b in GRID_PAIRS]
+        spec = DistributionSpec(kind, dim)
+    # spec.dim is an int, as derive_seed's str() rendering of a cell needs
+    configs = [(seed, kind_a, kind_b, spec.dim, n, k) for kind_a, kind_b in GRID_PAIRS]
     return ExperimentTable(rows=_run_cells(_grid_cell, configs, workers))

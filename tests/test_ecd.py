@@ -543,10 +543,10 @@ class TestSubsampling:
             subsample(a, b, k=1, rounds=2, seed=seed)
         with pytest.raises(InvalidSpec):
             subsample_round_indices(seed, 0, 10, 6)
-        # round count and set sizes are still checked first
+        # the round count is still checked first, and the seed before the set sizes
         with pytest.raises(InvalidTrials):
             subsample(a, b, k=1, rounds=0, seed=seed)
-        with pytest.raises(GeneratedSetTooSmall):
+        with pytest.raises(InvalidSpec):
             subsample(b, a, k=1, rounds=2, seed=seed)
 
     @pytest.mark.parametrize("subsample", SUBSAMPLE_ROUTES)

@@ -15,9 +15,11 @@ from ecdkit import (
     DistributionSpec,
     ExperimentRow,
     ExperimentTable,
+    InvalidK,
     InvalidSpec,
     NonFiniteInput,
     SchemaError,
+    SizeMismatch,
     coverage,
     derive_seed,
     distribution_grid,
@@ -261,7 +263,10 @@ class TestVarianceSweep:
     def test_every_variance_is_checked_before_any_cell(self, variances, monkeypatch):
         cells = []
         monkeypatch.setattr(experiments, "_sweep_cell", lambda args: cells.append(args) or [])
-        with pytest.raises(InvalidSpec, match="variance must be positive and finite"):
+        # the real rule first, then the positive-and-finite bound
+        real = all(isinstance(v, float) for v in variances)
+        bound = "positive and finite" if real else "a real number"
+        with pytest.raises(InvalidSpec, match=f"variance must be {bound}"):
             variance_sweep(dims=(2, 3), variances=variances, n=8, k=1, seed=0, workers=1)
         assert cells == []
 
@@ -333,8 +338,10 @@ class TestVarianceSweep:
         np.testing.assert_allclose(steps, 0.05, rtol=1e-12)
 
     def test_tiny_n_rejected(self):
-        with pytest.raises(InvalidSpec):
-            variance_sweep(dims=(2,), variances=(1.0,), n=3, k=1, seed=0)
+        # the split rule: each set needs at least 2 points
+        with pytest.raises(SizeMismatch, match=r"got sizes \(1, 1\)"):
+            variance_sweep(dims=(2,), variances=(1.0,), n=1, k=1, seed=0)
+        assert len(variance_sweep(dims=(2,), variances=(1.0,), n=3, k=1, seed=0)) == 3
 
 
 @pytest.fixture(scope="module")
@@ -460,19 +467,20 @@ class TestIntegerSizes:
         with pytest.raises(InvalidSpec):
             DistributionSpec("gaussian", dim)
 
-    @pytest.mark.parametrize("run", [
-        lambda: variance_sweep(dims=(2.5,), variances=(1.0,), n=8, k=1, seed=0),
-        lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8.9, k=1, seed=0),
-        lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1.5, seed=0),
-        lambda: distribution_grid(dim=2.5, n=8, k=1, seed=0),
-        lambda: distribution_grid(dim=2, n=8.9, k=1, seed=0),
-        lambda: distribution_grid(dim=2, n=8, k=1.5, seed=0),
+    @pytest.mark.parametrize("run, error", [
+        (lambda: variance_sweep(dims=(2.5,), variances=(1.0,), n=8, k=1, seed=0), InvalidSpec),
+        (lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8.9, k=1, seed=0), InvalidSpec),
+        (lambda: variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1.5, seed=0), InvalidK),
+        (lambda: distribution_grid(dim=2.5, n=8, k=1, seed=0), InvalidSpec),
+        (lambda: distribution_grid(dim=2, n=8.9, k=1, seed=0), InvalidSpec),
+        (lambda: distribution_grid(dim=2, n=8, k=1.5, seed=0), InvalidK),
     ], ids=["sweep-dims", "sweep-n", "sweep-k", "grid-dim", "grid-n", "grid-k"])
-    def test_runners_reject_non_integer_sizes(self, run, monkeypatch):
+    def test_runners_reject_non_integer_sizes(self, run, error, monkeypatch):
+        # k follows the k rule, which refuses a non-integer k with InvalidK
         cells = []
         for name in ("_sweep_cell", "_grid_cell"):
             monkeypatch.setattr(experiments, name, lambda args: cells.append(args) or [])
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(error):
             run()
         assert cells == []
 

@@ -1,10 +1,7 @@
 """One k rule, `spanning._check_k`: the tree multiplicity is an integer by
 operator.index, not a bool, and at least 1, else InvalidK. Every entry
 point that takes k applies it before any distance, round, cell or file
-read; the runners apply their integer rule first, so a non-integer k
-there stays an InvalidSpec."""
-
-import importlib
+read, the runners included, so a non-integer k is InvalidK everywhere."""
 
 import numpy as np
 import pytest
@@ -26,10 +23,6 @@ from ecdkit import (
 from ecdkit.cli import main
 from ecdkit.spanning import _check_k
 
-cli_module = importlib.import_module("ecdkit.cli")
-ecd_module = importlib.import_module("ecdkit.ecd")
-experiments_module = importlib.import_module("ecdkit.experiments")
-
 NOT_K = [0, -1, True, False, np.True_, 1.5, np.float64(2.0), "2", None]
 
 
@@ -39,30 +32,6 @@ def inputs():
     a = FeatureSet(rng.standard_normal((10, 2)))
     b = FeatureSet(rng.standard_normal((6, 2)))
     return {"a": a, "b": b, "d": pairwise_distances(a, b)}
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Names of the stages that ran: pooled distances, subsample rounds,
-    k-MSTs, experiment cells and CSV loads."""
-    seen = []
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            seen.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("pairwise_distances", "subsample_round_indices", "kmst"):
-        counted(ecd_module, name)
-    for name in ("pairwise_distances", "_sweep_cell", "_grid_cell"):
-        counted(experiments_module, name)
-    for name in ("load_feature_csv", "load_distance_csv"):
-        counted(cli_module, name)
-    return seen
 
 
 @pytest.mark.parametrize("k", [1, 3, np.int64(3), np.uint8(2)], ids=repr)
@@ -124,7 +93,8 @@ def test_runners_reject_k_before_any_cell(runner, k, calls):
 
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
 def test_runner_integer_rule_comes_first(runner, calls):
-    with pytest.raises(InvalidSpec, match="k must be an integer"):
+    # the k rule is the runners' integer rule for k: no check of their own runs before it
+    with pytest.raises(InvalidK, match="positive integer, got 1.5"):
         RUNNERS[runner](1.5)
     assert calls == []
 

@@ -4,7 +4,7 @@ Every `ecdkit ...` line in a README code block must parse, every
 `--option` README quotes in its text must be one the parser defines, and
 every long option the parser defines must be named in README. So a
 removed option cannot linger in the docs and a new one cannot go
-undocumented.
+undocumented. Its ```python examples run, in order, in one namespace.
 """
 
 import argparse
@@ -50,6 +50,19 @@ def test_command_line_parses(line):
 def test_quoted_options_exist():
     quoted = {span.split()[0] for span in re.findall(r"`(--[^`]+)`", README)}
     assert quoted and quoted <= set(OPTIONS), sorted(quoted - set(OPTIONS))
+
+
+def test_python_examples_run(capsys):
+    # one namespace, so the squared-distance recipe reuses the library
+    # example's a and b
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    printed = capsys.readouterr().out
+    assert "EdgeCounts(r1=" in printed
+    assert namespace["report"].graph.n_edges == 10 * (500 + 500 - 1)
 
 
 @pytest.mark.parametrize("option", OPTIONS)

@@ -23,6 +23,7 @@ from ecdkit import (
     InvalidTrials,
     NonFiniteInput,
     PooledLabels,
+    SizeMismatch,
     distribution_grid,
     ecd_subsampled,
     ecd_subsampled_from_distances,
@@ -83,10 +84,10 @@ BOUNDS = {
     "sweep-workers": (lambda inp: variance_sweep(dims=(2,), variances=(1.0,), n=8, k=1,
                                                  workers=0), InvalidSpec,
                       "workers must be at least 1, got 0"),
-    "sweep-n": (lambda inp: variance_sweep(dims=(2,), variances=(1.0,), n=3, k=1),
-                InvalidSpec, "n must be at least 4, got 3"),
-    "grid-n": (lambda inp: distribution_grid(dim=2, n=3, k=1), InvalidSpec,
-               "n must be at least 4, got 3"),
+    "sweep-n": (lambda inp: variance_sweep(dims=(2,), variances=(1.0,), n=1, k=1),
+                SizeMismatch, r"each set needs at least 2 points, got sizes \(1, 1\)"),
+    "grid-n": (lambda inp: distribution_grid(dim=2, n=1, k=1), SizeMismatch,
+               r"each set needs at least 2 points, got sizes \(1, 1\)"),
     "permutation-samples": (lambda inp: permutation_samples(inp["g"], 10, 6, 0, 0),
                             InvalidTrials, "trials must be at least 1, got 0"),
     "permutation-moments": (lambda inp: permutation_moments(inp["g"], 10, 6, 1, 0),
@@ -129,20 +130,22 @@ RUNNERS = {
 
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
 def test_runner_error_order(runner, monkeypatch):
-    # the integer rules, then the seed, then k, then n's bound
+    # the seed, then k, then n by the split rule: its integer rule, then its bound
     cells = []
     for name in ("_sweep_cell", "_grid_cell"):
         monkeypatch.setattr(experiments_module, name, lambda args: cells.append(args) or [])
     run = RUNNERS[runner]
-    with pytest.raises(InvalidSpec, match="n must be an integer"):
-        run(n=3.5, k=0, seed=-1)
     with pytest.raises(InvalidSpec, match="seed must be at least 0"):
-        run(n=3, k=0, seed=-1)
+        run(n=1.5, k=0, seed=-1)
     with pytest.raises(InvalidK):
-        run(n=3, k=0, seed=0)
-    with pytest.raises(InvalidSpec, match="n must be at least 4, got 3"):
-        run(n=3, k=1, seed=0)
+        run(n=1.5, k=0, seed=0)
+    with pytest.raises(InvalidSpec, match="n must be an integer"):
+        run(n=1.5, k=1, seed=0)
+    with pytest.raises(SizeMismatch, match=r"got sizes \(1, 1\)"):
+        run(n=1, k=1, seed=0)
     assert cells == []
+    run(n=3, k=1, seed=0)  # n of 2 and 3 passes the split rule
+    assert cells
 
 
 # --- reals --------------------------------------------------------------------
