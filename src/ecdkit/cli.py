@@ -14,8 +14,8 @@ import dataclasses
 import json
 import sys
 
-from .ecd import (DEFAULT_ROUNDS, _seed, ecd, ecd_from_distances, ecd_subsampled,
-                  ecd_subsampled_from_distances)
+from .ecd import (DEFAULT_ROUNDS, _check_rounds, _seed, ecd, ecd_from_distances,
+                  ecd_subsampled, ecd_subsampled_from_distances)
 from .errors import InputError, InvalidSpec, NumericError
 from .experiments import (
     DEFAULT_GRID_DIM,
@@ -68,17 +68,26 @@ def _dump_graph_csv(g: SpanningGraph, path) -> None:
                              map(repr, g.weight.tolist())))
 
 
+def _subsampling(rounds, seed) -> int:
+    """The rounds rule, then the seed that subsampling draws with."""
+    _check_rounds(rounds)
+    if seed is None:
+        raise InvalidSpec("subsampling draws random subsets; provide --seed")
+    return rounds
+
+
 def cmd_ecd(args) -> int:
-    # the k and seed rules, before any file is read
+    # the k, seed and rounds rules, before any file is read; only a larger
+    # first set, which asks for subsampling by itself, needs the loaded sizes
     _check_k(args.k)
     seed = args.seed if args.seed is None else _seed(args.seed)
+    rounds = args.rounds if args.rounds is None else _subsampling(args.rounds, seed)
     x, y = _load(args)
     features = isinstance(x, FeatureSet)
     n, m = (x.n_points, y.n_points) if features else (y.n, y.m)
-    if args.rounds is not None or n > m:
-        rounds = args.rounds if args.rounds is not None else DEFAULT_ROUNDS
-        if seed is None:
-            raise InvalidSpec("subsampling draws random subsets; provide --seed")
+    if rounds is None and n > m:
+        rounds = _subsampling(DEFAULT_ROUNDS, seed)
+    if rounds is not None:
         run = ecd_subsampled if features else ecd_subsampled_from_distances
         rep = run(x, y, args.k, rounds, seed)
     else:

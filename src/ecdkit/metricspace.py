@@ -27,7 +27,6 @@ from .errors import (
     InvalidSpec,
     NegativeDistanceError,
     NonFiniteInput,
-    NonSquareError,
     NonzeroDiagonalError,
     SchemaError,
     SizeMismatch,
@@ -50,15 +49,9 @@ class FeatureSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _real_array(self.points, "feature values")
+        pts = _real_array(self.points, "feature values", (1, 2), nonempty=True)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D point array, got ndim={pts.ndim}")
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise EmptySet(f"feature set must be non-empty, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteInput("feature values must be finite (no NaN/Inf)")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -83,7 +76,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _as_symmetric(self.values)
+        v = _as_symmetric(self.values, "distance entries")
         if np.any(np.diagonal(v) != 0.0):
             raise NonzeroDiagonalError("distance matrix diagonal must be exactly zero")
         if np.any(v < 0.0):
@@ -237,11 +230,7 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     InvalidSpec; ``inf`` accepts any finite matrix.
     """
     tolerance = _check_tolerance(tolerance)
-    arr = _real_array(raw, "distance entries")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("distance entries must be finite")
+    arr = _real_array(raw, "distance entries", square=True)
     # one scratch matrix beside the raw one: asymmetry, then the symmetrized sum
     scratch = arr - arr.T
     asym = np.max(np.abs(scratch, out=scratch), initial=0.0)
@@ -269,10 +258,10 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
 def _read_csv(path, header: bool) -> np.ndarray:
     """Numeric rows of a comma-separated file; blank lines are skipped.
 
-    With `header`, a first row whose first field fails numeric parsing
-    is skipped as a header. A seekable file goes to numpy's C tokenizer
-    first; any text it refuses is read again by the exact parser, which
-    alone decides what else is accepted and how each rejection reads.
+    With `header`, a first row in which no field is a number is skipped
+    as a header. A seekable file goes to numpy's C tokenizer first; any
+    text it refuses is read again by the exact parser, which alone
+    decides what else is accepted and how each rejection reads.
     """
     with open(path, newline="") as fh:
         if fh.seekable():  # the exact parser may have to read it again
@@ -311,9 +300,7 @@ def _read_exact(fh, path, header: bool) -> np.ndarray:
     for lineno, rec in _records(fh, path):
         if header:
             header = False
-            try:
-                float(rec[0])
-            except ValueError:
+            if not any(map(_numeral, rec)):
                 continue  # header row
         try:
             rows.append([float(f) for f in rec])
@@ -331,6 +318,14 @@ def _read_exact(fh, path, header: bool) -> np.ndarray:
             f"{ragged[0]}, {len(rows[0])} on line {first_line}"
         )
     return np.array(rows, dtype=np.float64)
+
+
+def _numeral(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def _records(fh, path):
@@ -358,8 +353,9 @@ def _records(fh, path):
 def load_feature_csv(path) -> FeatureSet:
     """Read a feature CSV: one point per row, comma-separated numerals.
 
-    A single leading header row is auto-detected: if the first field of
-    the first row fails numeric parsing, that row is skipped.
+    A single leading header row is auto-detected: a first row in which
+    no field is a number is skipped; one that mixes numbers and other
+    text raises SchemaError naming line 1.
     """
     return FeatureSet(_read_csv(path, header=True))
 

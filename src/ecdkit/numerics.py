@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonSquareError, AsymmetryError, NoConvergence, NotPSD, SingularCovariance
+from .errors import (AsymmetryError, DimensionMismatch, EmptySet, NegativeDistanceError,
+                     NoConvergence, NonFiniteInput, NonSquareError, NotPSD, SingularCovariance)
 
 #: Eigenvalues of a nominally PSD matrix may round slightly negative; anything
 #: below -PSD_SLACK * lambda_max is treated as materially negative.
@@ -26,20 +27,35 @@ PSD_SLACK = 1e-9
 SINGULAR_DET_RTOL = 1e-12
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """The one real-array rule: values as a float64 array; a complex one
-    raises NonFiniteInput naming its dtype, as a cast would drop its imaginary parts."""
-    if np.iscomplexobj(values):
-        raise NonFiniteInput(f"{what} must be real, got dtype {np.asarray(values).dtype}")
-    return np.asarray(values, dtype=np.float64)
-
-
-def _as_symmetric(m) -> np.ndarray:
-    a = _real_array(m, "matrix entries")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+def _real_array(values, what: str, ndim=None, *, square=False, nonempty=False,
+                nonnegative=False) -> np.ndarray:
+    """The one real-array rule: values as float64 (not copied when they are),
+    checked in this order, each error naming `what`: the cast (a complex
+    array included), the rank (`ndim`, an int or a tuple of ints, or
+    `square`), an empty axis, finiteness, then the sign."""
+    try:  # np.iscomplexobj raises on ragged nesting as the cast does
+        if np.iscomplexobj(values):
+            raise NonFiniteInput(f"{what} must be real, got dtype {np.asarray(values).dtype}")
+        a = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise NonFiniteInput(f"{what} must be an array of real numbers") from None
+    if square and (a.ndim != 2 or a.shape[0] != a.shape[1]):
+        raise NonSquareError(f"{what} must form a square matrix, got shape {a.shape}")
+    ranks = (ndim,) if isinstance(ndim, int) else ndim
+    if ranks is not None and a.ndim not in ranks:
+        expected = " or ".join(f"{r}-D" for r in ranks)
+        raise DimensionMismatch(f"{what} must form a {expected} array, got shape {a.shape}")
+    if nonempty and a.size == 0:
+        raise EmptySet(f"{what} must be non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteInput("matrix entries must be finite")
+        raise NonFiniteInput(f"{what} must be finite (no NaN/Inf)")
+    if nonnegative and np.any(a < 0.0):
+        raise NegativeDistanceError(f"{what} must be nonnegative")
+    return a
+
+
+def _as_symmetric(m, what: str = "matrix entries") -> np.ndarray:
+    a = _real_array(m, what, square=True)
     if not np.array_equal(a, a.T):
         raise AsymmetryError("matrix must be exactly symmetric")
     return a

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    NegativeDistanceError,
-    NonFiniteInput,
-    TooFewSamples,
-)
+from .errors import DimensionMismatch, TooFewSamples
 from .metricspace import FeatureSet, cross_distances
 from .numerics import _as_symmetric, _psd_sqrt_trace, _real_array, psd_sqrt
 
@@ -33,15 +27,12 @@ class GaussianSummary:
     sample_count: int
 
     def __post_init__(self):
-        mu = _real_array(self.mean, "mean entries")
-        cov = _real_array(self.covariance, "covariance entries")
-        if mu.ndim != 1 or cov.shape != (mu.size, mu.size):
+        mu = _real_array(self.mean, "mean entries", 1)
+        cov = _as_symmetric(self.covariance, "covariance entries")
+        if cov.shape != (mu.size, mu.size):
             raise DimensionMismatch(
                 f"mean of size {mu.shape} does not match covariance {cov.shape}"
             )
-        _as_symmetric(cov)
-        if not np.all(np.isfinite(mu)):
-            raise NonFiniteInput("mean entries must be finite")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "covariance", cov)
 
@@ -61,19 +52,6 @@ class MeasureResult:
 
     def to_json_dict(self) -> dict:
         return {"coverage": self.coverage, "mmd": self.mmd, "frechet": self.frechet}
-
-
-def _validated_cross(raw) -> np.ndarray:
-    cross = _real_array(raw, "cross distances")
-    if cross.ndim != 2:
-        raise DimensionMismatch(f"cross-distance array must be 2-D, got ndim={cross.ndim}")
-    if cross.shape[0] == 0 or cross.shape[1] == 0:
-        raise EmptySet("cross-distance array must be non-empty")
-    if not np.all(np.isfinite(cross)):
-        raise NonFiniteInput("cross distances must be finite")
-    if np.any(cross < 0.0):
-        raise NegativeDistanceError("cross distances must be nonnegative")
-    return cross
 
 
 def coverage(a: FeatureSet, b: FeatureSet) -> float:
@@ -130,7 +108,7 @@ def measures_from_cross(cross) -> MeasureResult:
     fraction of columns nearest to at least one row (argmin ties go to the
     smallest column index); the matching distance is the mean over columns
     of the distance to their nearest row."""
-    c = _validated_cross(cross)
+    c = _real_array(cross, "cross distances", 2, nonempty=True, nonnegative=True)
     marked = np.unique(np.argmin(c, axis=1))
     mean_nearest = float(np.mean(np.min(c, axis=0)))
     return MeasureResult(coverage=float(marked.size) / c.shape[1], mmd=mean_nearest, frechet=None)

@@ -1,10 +1,11 @@
 """Each entry point applies each rule once, before any work: `ecd` its k
 and split rules before the pooled matrix; the subsampled functions their
 rounds, seed, k and split before round 0, whose draw checks the size
-before any distance; CLI `ecd` its `--k` and `--seed` before any file is
-read. The runners' seed, k, split and variance rules are tested with
-their other arguments in test_k_rule, test_value_rules and
-test_experiments; here they accept the smallest split."""
+before any distance; CLI `ecd` its `--k`, `--seed` and `--rounds`, and
+the seed an explicit `--rounds` needs, before any file is read. The
+runners' seed, k, split and variance rules are tested with their other
+arguments in test_k_rule, test_value_rules and test_experiments; here
+they accept the smallest split."""
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_cli_ecd_rejects_seed_before_any_file_is_read(mode, calls, tmp_path, cap
     assert "seed must be at least 0, got -1" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--rounds", "2"], "subsampling draws random subsets; provide --seed"),
+    (["--rounds", "0", "--seed", "1"], "rounds must be at least 1, got 0"),
+    (["--rounds", "0"], "rounds must be at least 1, got 0"),
+], ids=["rounds-without-seed", "rounds-below-1", "rounds-first"])
+def test_cli_ecd_rejects_rounds_before_any_file_is_read(argv, error, calls, tmp_path, capsys):
+    fa = write_rows(tmp_path / "a.csv", points(10).points)
+    fb = write_rows(tmp_path / "b.csv", points(6, seed=1).points)
+    assert main(["ecd", "--set-a", fa, "--set-b", fb, "--k", "1", *argv]) == 2
+    assert error in capsys.readouterr().err
+    assert calls == []
 
 
 RUNNERS = {

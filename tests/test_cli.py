@@ -273,6 +273,15 @@ class TestMeasuresCommand:
         assert payload["coverage"] == pytest.approx(1 / 3)
         assert payload["mmd"] == pytest.approx((9.0 + 10.0 + 11.0) / 3)
 
+    def test_typo_in_first_row_is_not_a_header(self, tmp_path, capsys):
+        typo = tmp_path / "typo.csv"
+        typo.write_text("l,2\n3,4\n5,6\n")
+        b = write_points(tmp_path / "b.csv", [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        assert main(["measures", "--set-a", str(typo), "--set-b", b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{typo}: non-numeric value on line 1" in captured.err
+
 
 class TestExperimentCommands:
     def test_sweep_deterministic_bytes(self, tmp_path, capsys):

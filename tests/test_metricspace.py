@@ -356,6 +356,17 @@ def test_load_feature_csv_without_header(tmp_path):
     assert load_feature_csv(p).n_points == 2
 
 
+@pytest.mark.parametrize("first", ["l,2", "0x1p3,2", "\ufeff1,2", "x,1"],
+                         ids=["letter-for-digit", "hex-float", "utf8-bom", "half-header"])
+def test_load_feature_csv_mixed_first_row_is_an_error(tmp_path, first):
+    # a header is a first row in which no field is a number; a first row
+    # that mixes the two is a bad data row, not a header to drop
+    p = tmp_path / "a.csv"
+    p.write_text(first + "\n3,4\n5,6\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="non-numeric value on line 1"):
+        load_feature_csv(p)
+
+
 _BAD_CSV = (
     ("ragged", b"1.0,2.0\n3.0\n", SchemaError),
     ("empty", b"", EmptySet),

@@ -224,14 +224,14 @@ class TestBundles:
 
     def test_cross_bundle_validates_once(self, monkeypatch):
         module = importlib.import_module("ecdkit.setmeasures")
-        real = module._validated_cross
+        real = module._real_array
         calls = []
 
-        def counting(raw):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return real(raw)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "_validated_cross", counting)
+        monkeypatch.setattr(module, "_real_array", counting)
         cross = np.abs(np.random.default_rng(53).standard_normal((6, 4)))
         measures_from_cross(cross)
         assert len(calls) == 1

@@ -2,8 +2,11 @@
 `metricspace._integer` (an integer by operator.index, else InvalidSpec;
 below its bound, the caller's error naming the argument and the bound);
 every real scalar through `metricspace._real` (float(), else InvalidSpec);
-every real array through `numerics._real_array` (a complex array raises
-NonFiniteInput naming its dtype instead of losing its imaginary parts)."""
+every input array through `numerics._real_array`, which casts, shapes and
+checks it in one order, each error naming the argument: what numpy cannot
+read as real numbers (a string, ragged nesting, an object) or a complex
+array raises NonFiniteInput, then come the rank or squareness, emptiness,
+finiteness and, for distances, the sign."""
 
 import importlib
 import re
@@ -13,15 +16,19 @@ import numpy as np
 import pytest
 
 from ecdkit import (
+    DimensionMismatch,
     DistanceMatrix,
     DistributionSpec,
+    EmptySet,
     ExperimentRow,
     FeatureSet,
     GaussianSummary,
     InvalidK,
     InvalidSpec,
     InvalidTrials,
+    NegativeDistanceError,
     NonFiniteInput,
+    NonSquareError,
     PooledLabels,
     SizeMismatch,
     distribution_grid,
@@ -206,6 +213,54 @@ def test_complex_arrays_are_refused_not_truncated(entry):
         warnings.simplefilter("error")  # no ComplexWarning on the way
         with pytest.raises(NonFiniteInput, match=r"must be real, got dtype complex(64|128)"):
             COMPLEX[entry]()
+
+
+# each array entry point and the name its errors give the argument
+ENTRIES = {
+    "FeatureSet": (FeatureSet, "feature values"),
+    "DistanceMatrix": (DistanceMatrix, "distance entries"),
+    "validate_distance_matrix": (validate_distance_matrix, "distance entries"),
+    "GaussianSummary-mean": (lambda v: GaussianSummary(v, np.eye(2), 3), "mean entries"),
+    "GaussianSummary-covariance": (lambda v: GaussianSummary(np.zeros(2), v, 3),
+                                   "covariance entries"),
+    "measures_from_cross": (measures_from_cross, "cross distances"),
+    "sym_eig": (sym_eig, "matrix entries"),
+    "psd_sqrt": (psd_sqrt, "matrix entries"),
+}
+
+UNREADABLE = {"string": "abc", "ragged": [[0.0, 1.0], [1.0]], "object": object(),
+              "int-overflow": [10**400]}
+
+
+@pytest.mark.parametrize("value", sorted(UNREADABLE))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_unreadable_arrays_are_typed_errors(entry, value):
+    run, name = ENTRIES[entry]
+    with pytest.raises(NonFiniteInput, match=f"^{name} must be an array of real numbers$"):
+        run(UNREADABLE[value])
+
+
+@pytest.mark.parametrize("values, rule, error, message", [
+    # each input fails two checks; the earlier one in the rule's order is reported
+    ([[np.nan, -1.0]], dict(square=True), NonSquareError, r"must form a square matrix"),
+    (np.full((2, 2, 2), np.nan), dict(ndim=(1, 2)), DimensionMismatch,
+     r"must form a 1-D or 2-D array, got shape \(2, 2, 2\)"),
+    (np.empty((0, 3)), dict(ndim=1, nonempty=True), DimensionMismatch, r"must form a 1-D array"),
+    (np.empty((3, 0)), dict(ndim=2, nonempty=True), EmptySet, r"must be non-empty"),
+    ([[np.inf, -1.0]], dict(nonnegative=True), NonFiniteInput, r"must be finite"),
+    ([[0.0, -1.0]], dict(nonnegative=True), NegativeDistanceError, r"must be nonnegative"),
+], ids=["square-before-finite", "rank-before-finite", "rank-before-empty",
+        "empty", "finite-before-sign", "sign"])
+def test_real_array_check_order(values, rule, error, message):
+    with pytest.raises(error, match=f"^x {message}"):
+        _real_array(values, "x", **rule)
+
+
+def test_covariance_shape_is_checked_by_the_array_rule():
+    with pytest.raises(NonSquareError, match="^covariance entries must form a square matrix"):
+        GaussianSummary(np.zeros(2), np.zeros((2, 3)), 3)
+    with pytest.raises(DimensionMismatch, match="does not match covariance"):
+        GaussianSummary(np.zeros(2), np.eye(3), 3)
 
 
 @pytest.mark.parametrize("values", [[[1, 2], [3, 4]], np.arange(4.0).reshape(2, 2),
