@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the eigensolver, pooled-distance, k-MST, tie-rank,
+"""Micro-benchmarks of the eigensolver, pooled-distance (strips and the
+certified Gram product), k-MST (exact and banded), tie-rank,
 edge-count, null-moment, COV/MMD and CSV-ingest kernels, of one whole
 `ecd` comparison and one subsampled one, of the two experiment runners at
 one and two workers, and of the CLI: start-up and one whole `ecdkit ecd`
@@ -49,6 +50,7 @@ from ecdkit import (
     sample,
     variance_sweep,
 )
+from ecdkit.metricspace import _BandedDistances, _pooled_distances
 from ecdkit.numerics import sym_eig
 from ecdkit.spanning import _pair_rank
 
@@ -95,6 +97,39 @@ def test_pairwise_distances_4000_dim_32(benchmark):
 def test_pairwise_distances_1000_dim_1000(benchmark):
     # a variance-sweep cell's pooled matrix: at dim 1000 the sets weigh as much as it
     time_pairwise_distances(benchmark, *pooled("gaussian", 500, 1000))
+
+
+# A variance-sweep cell's shape at dim 1000 (N = 1000, k = 10): the strip
+# fill above against the Gram order, and the exact k-MST against the banded
+# one, whose certified tree edges are then read exactly.
+@pytest.fixture(scope="module")
+def sets_1000_dim_1000():
+    return pooled("gaussian", 500, 1000)
+
+
+def test_gram_order_1000_dim_1000(benchmark, sets_1000_dim_1000):
+    d = benchmark(_pooled_distances, *sets_1000_dim_1000)
+    assert isinstance(d, _BandedDistances)
+
+
+def test_kmst_exact_1000_dim_1000(benchmark, sets_1000_dim_1000):
+    d = pairwise_distances(*sets_1000_dim_1000)
+    g = benchmark.pedantic(kmst, (d, 10), rounds=5)
+    assert g.n_edges == 10 * 999
+
+
+def test_kmst_banded_1000_dim_1000(benchmark, sets_1000_dim_1000):
+    d = _pooled_distances(*sets_1000_dim_1000)
+    g = benchmark.pedantic(kmst, (d, 10), rounds=5)
+    assert g.n_edges == 10 * 999
+
+
+@pytest.mark.parametrize("dim", [300, 1000])
+def test_ecd_1000(benchmark, dim):
+    # one whole comparison; dim 300 lies just above the Gram threshold
+    a, b = pooled("gaussian", 500, dim)
+    report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
+    assert report.counts.total == 10 * 999
 
 
 @pytest.fixture(scope="module")

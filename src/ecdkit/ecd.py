@@ -47,7 +47,7 @@ from .metricspace import (
     PooledLabels,
     _by_construction,
     _integer,
-    pairwise_distances,
+    _pooled_distances,
 )
 from .numerics import quadratic_form_2x2
 from .spanning import DEFAULT_K, SpanningGraph, _check_k, degree_statistic, kmst
@@ -237,11 +237,13 @@ def ecd(a: FeatureSet, b: FeatureSet, k: int = DEFAULT_K) -> EcdReport:
     A spanning tree depends only on the order of its edge weights, so any
     strictly increasing function of the distances (their squares, say)
     gives this report too, up to float rounding; :func:`ecd_from_distances`
-    scores such a matrix.
+    scores such a matrix. High-dimensional sets take that order from a
+    certified Gram product, and the report is the one the exact pooled
+    matrix gives, to the bit.
     """
     _check_k(k)  # the k and split rules, before the pooled matrix is computed
     labels = PooledLabels(n=a.n_points, m=b.n_points)
-    return ecd_from_distances(pairwise_distances(a, b), labels, k)
+    return ecd_from_distances(_pooled_distances(a, b), labels, k)
 
 
 # --- seeds, random streams and permutation oracles --------------------------
@@ -374,7 +376,7 @@ def ecd_subsampled(
     oversized first set is never pooled whole.
     """
     def pooled(idx):
-        return pairwise_distances(FeatureSet(a_large.points[idx]), b)
+        return _pooled_distances(FeatureSet(a_large.points[idx]), b)
 
     _check_rounds(rounds)
     return _subsample(pooled, a_large.n_points, b.n_points, k, rounds, seed)

@@ -22,8 +22,9 @@ import numpy as np
 
 from .ecd import _seed, _stream, ecd_from_distances
 from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import FeatureSet, PooledLabels, _integer, _real, _records, pairwise_distances
-from .setmeasures import fit_gaussian, frechet_gaussian, measures_from_cross
+from .metricspace import (FeatureSet, PooledLabels, _integer, _pooled_distances, _real, _records,
+                          _Uncertified)
+from .setmeasures import _measures_from_pooled, fit_gaussian, frechet_gaussian
 from .spanning import DEFAULT_K, _check_k
 
 KINDS = ("gaussian", "uniform", "binary")
@@ -215,9 +216,11 @@ def _rows(base_seed, exp, kind_a, kind_b, dim, var_a, n, k, measures) -> list:
     ]
 
 
-#: Taken around the stage of a cell that holds the GIL: the k-MST, its
-#: counts and moments, and the grid's Fréchet term. Sampling and the pooled
-#: distances release the GIL and overlap across runner threads; two threads
+#: Taken around the stage of a cell that holds the GIL: the k-MST (with,
+#: at high dimension, its certification and exact weight reads), its counts
+#: and moments, and the grid's Fréchet term. Sampling, the pooled distances
+#: (strips or a Gram product) and the sweep's COV and MMD release the GIL
+#: for most of their time and overlap across runner threads; two threads
 #: interleaving Python loops only hand the GIL back and forth and lose to one.
 _SCORING = threading.Lock()
 
@@ -225,10 +228,15 @@ _SCORING = threading.Lock()
 def _sweep_cell(args) -> list:
     base_seed, dim, var, n, k = args
     cell = (base_seed, "variance-sweep", "gaussian", "gaussian", dim, var, n)
-    # one pooled matrix, whose cross block is bitwise the samples' cross_distances;
-    # the samples are dropped once it exists, so a cell waiting to score holds it alone
-    d = pairwise_distances(*_pair(*cell))
-    near = measures_from_cross(d.values[:n, n:])
+    # one pooled matrix, whose cross block is bitwise the samples' cross_distances
+    # or, at high dimension, certifies its order; only a Gram-product matrix keeps
+    # the samples, for exact reads, while the cell waits to score
+    d = _pooled_distances(*_pair(*cell))
+    try:
+        near = _measures_from_pooled(d, n)
+    except _Uncertified:
+        d = d.exact()
+        near = _measures_from_pooled(d, n)
     with _SCORING:
         report = ecd_from_distances(d, PooledLabels(n, n), k)
     return _rows(*cell, k, [
@@ -242,7 +250,7 @@ def _grid_cell(args) -> list:
     base_seed, kind_a, kind_b, dim, n, k = args
     cell = (base_seed, "distribution-grid", kind_a, kind_b, dim, 1.0, n)
     a, b = _pair(*cell)
-    d = pairwise_distances(a, b)
+    d = _pooled_distances(a, b)
     with _SCORING:
         report = ecd_from_distances(d, PooledLabels(n, n), k)
         fid = frechet_gaussian(fit_gaussian(a), fit_gaussian(b))

@@ -9,11 +9,17 @@ computed once and written to both of its entries. Strips read the two
 sets where they are and never cross the split between them, so no
 pooled copy of the points is made: a comparison holds its two sets, the
 N x N result and one strip's distances.
+
+At `_GRAM_MIN_DIM` features and above, a comparison takes its pooled
+matrix from one BLAS Gram product instead (:func:`_pooled_distances`):
+every entry lies within one proven band of the exact value, and the
+consumers that read it decide an order only where the band proves it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -40,6 +46,32 @@ INGEST_TOLERANCE = 1e-9
 #: Rows per strip of the pooled matrix; a strip's distances are the only
 #: temporary beside the result.
 _STRIP_ROWS = 128
+
+#: Feature dimension from which a comparison's pooled matrix comes from one
+#: Gram product (see `_pooled_distances`): the measured crossover. Distances
+#: plus a k = 10 k-MST of 1000 pooled Gaussian points, BLAS at one thread,
+#: 2-vCPU VM, best of 5 in three runs: strips 0.08-0.11 s against the Gram
+#: path's 0.11-0.13 s at dim 100, about even at dim 200, 0.12-0.13 s
+#: against 0.08-0.10 s at dim 256, and 0.29-0.36 s against 0.10-0.16 s at
+#: dim 1000.
+_GRAM_MIN_DIM = 256
+
+#: A band wider than this share of the largest distance is not used: it
+#: is what duplicates (a band of sqrt(E), see `_band`) or data far from the
+#: origin give, and with half the digits in doubt nearly every order a
+#: result needs would be refused.
+_BAND_LIMIT = 2.0 ** -26
+
+#: Rows per strip when Gram products become distances; ``q_i + q_j`` of
+#: one strip is the only temporary beside the result.
+_GRAM_ROWS = 32
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+class _Uncertified(Exception):
+    """The band of a Gram-product matrix cannot decide an order that a
+    result depends on; the comparison falls back to exact distances."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +203,7 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     # scipy loads on the first distance call: importing ecdkit needs numpy alone
     from scipy.spatial.distance import cdist, pdist, squareform
 
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
+    _check_dims(a, b)
     # once per set, a no-op for the usual input: scipy would copy each strip
     x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
     n, total = len(x), len(x) + len(y)
@@ -202,12 +233,148 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     return _by_construction(values)
 
 
+def _check_dims(a: FeatureSet, b: FeatureSet) -> None:
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
+
+
+def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
+    """The pooled matrix of one comparison: `pairwise_distances` below
+    `_GRAM_MIN_DIM` features, else a :class:`_BandedDistances` from one
+    Gram product.
+
+    The products ``a a^T``, ``a b^T`` and ``b b^T`` are written block by
+    block into the N x N result and ``b a^T`` is copied as the transpose
+    of its block, so no pooled or centred copy of the points is made. One
+    strip of rows at a time, each entry becomes ``sqrt(max((q_i + q_j) -
+    2 g_ij, 0))``, where q is the products' diagonal; ``q_i + q_j``
+    commutes, so the matrix is exactly symmetric, and its diagonal is
+    zero. The strip path serves instead when a squared norm is so large
+    that an intermediate could overflow, or when the band (see `_band`)
+    exceeds `_BAND_LIMIT` of the largest entry.
+    """
+    _check_dims(a, b)
+    if a.dim < _GRAM_MIN_DIM:
+        return pairwise_distances(a, b)
+    # once per set, a no-op for the usual input: BLAS then forms a a^T and
+    # b b^T as symmetric products, which a strided set would not get
+    x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
+    n, total = len(x), len(x) + len(y)
+    values = np.empty((total, total))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge norms fall back below
+        np.matmul(x, x.T, out=values[:n, :n])
+        np.matmul(x, y.T, out=values[:n, n:])
+        np.matmul(y, y.T, out=values[n:, n:])
+    values[n:, :n] = values[:n, n:].T
+    q = values.diagonal().copy()
+    top = float(q.max())
+    # every intermediate is at most 4 max q (see `_band`); NaN fails too
+    if not math.isfinite(8.0 * top):
+        return pairwise_distances(a, b)
+    low = math.inf
+    for s0 in range(0, total, _GRAM_ROWS):
+        s1 = min(s0 + _GRAM_ROWS, total)
+        strip, own = values[s0:s1], values[s0:s1, s0:s1]
+        strip *= -2.0
+        strip += np.add.outer(q[s0:s1], q)
+        np.maximum(strip, 0.0, out=strip)
+        np.sqrt(strip, out=strip)
+        np.fill_diagonal(own, np.inf)
+        low = min(low, float(strip.min()))
+        np.fill_diagonal(own, 0.0)
+    high = float(values.max())
+    band = _band(x.shape[1], top, low, high)
+    if not band <= _BAND_LIMIT * high:
+        return pairwise_distances(a, b)
+    d = object.__new__(_BandedDistances)
+    for name, value in (("values", values), ("band", band), ("sets", (a, b))):
+        object.__setattr__(d, name, value)
+    return d
+
+
+def _band(dim: int, top: float, low: float, high: float) -> float:
+    """Bound on |Gram entry - strip entry| over one matrix of
+    `_pooled_distances`, from the dimension, the largest product diagonal
+    `top` and the smallest and largest off-diagonal entries.
+
+    With u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1), take two pooled
+    points x, y with Q = |x|^2, R = |y|^2, G = x.y and S = |x - y|^2:
+
+    1. BLAS forms q_x = Q (1 + t) with |t| <= gamma_d, and g with
+       |g - G| <= gamma_d sum |x_k y_k| <= gamma_d (Q + R) / 2, in any
+       summation order, FMA or not, so at any thread count. Every exact
+       squared norm is at most M = top / (1 - gamma_d).
+    2. r = fl(fl(q_x + q_y) - 2 g) then satisfies |r - S| <=
+       (2 gamma_d + 3u (1 + gamma_d)(1 + u)) (Q + R) <= E, with Q + R <=
+       2M. Clipping r at 0 moves it toward S >= 0.
+    3. |sqrt(r) - sqrt(S)| <= min(sqrt(E), E / sqrt(r)), and sqrt(r) >=
+       low (1 - 2u) off the diagonal.
+    4. scipy sums the d terms fl((x_k - y_k)^2), each carrying at most
+       d + 2 roundings, so its value is sqrt(S (1 + t)) rounded, |t| <=
+       gamma_{d+2}: within (gamma_{d+2} (1 + u) + u) sqrt(S) of sqrt(S),
+       and sqrt(S) <= high (1 + 2u) + step 3's bound.
+
+    4u high more covers the rounded sqrt of step 3 and the rounding of
+    each comparison that uses the band; the factor 1 + 2^-20 covers the
+    rounding of this evaluation.
+    """
+    u = _UNIT_ROUNDOFF
+    gamma_d, gamma_s = dim * u / (1.0 - dim * u), (dim + 2) * u / (1.0 - (dim + 2) * u)
+    squared = 2.0 * top / (1.0 - gamma_d) * (2.0 * gamma_d + 3.0 * u * (1.0 + gamma_d) * (1.0 + u))
+    root = math.sqrt(squared)
+    if low > 0.0:
+        root = min(root, squared / (low * (1.0 - 2.0 * u)))
+    scipy = (gamma_s * (1.0 + u) + u) * (high * (1.0 + 2.0 * u) + root)
+    return (root + scipy + 4.0 * u * high) * (1.0 + 2.0 ** -20)
+
+
+@dataclass(frozen=True)
+class _BandedDistances(DistanceMatrix):
+    """A pooled matrix from one Gram product, made by `_pooled_distances`:
+    every entry lies within `band` of the entry `pairwise_distances` gives
+    the same pair. It keeps the two sets for exact look-ups. A consumer
+    decides an order on it only where two values differ by more than
+    twice the band, raises `_Uncertified` elsewhere, and reads the values
+    it reports exactly."""
+
+    band: float
+    sets: tuple
+
+    def exact(self) -> DistanceMatrix:
+        """The strip path's matrix of the same two sets."""
+        return pairwise_distances(*self.sets)
+
+    def pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The strip path's entry of each pooled pair (lo[e], hi[e]),
+        bitwise: one ``cdist`` call per first endpoint and set holding
+        the second ones."""
+        from scipy.spatial.distance import cdist
+
+        x, y = (s.points for s in self.sets)
+        n = len(x)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        second = hi >= n
+        cut = np.flatnonzero((lo[1:] != lo[:-1]) | (second[1:] != second[:-1])) + 1
+        bounds = [0, *cut.tolist(), lo.size]
+        got = np.empty(lo.size)
+        for s0, s1 in zip(bounds[:-1], bounds[1:]):
+            if s0 == s1:  # no pairs at all
+                break
+            i = int(lo[s0])
+            row = x[i:i + 1] if i < n else y[i - n:i - n + 1]
+            got[s0:s1] = cdist(row, y[hi[s0:s1] - n] if second[s0] else x[hi[s0:s1]])[0]
+        out = np.empty(lo.size)
+        out[order] = got
+        return out
+
+
 def cross_distances(a: FeatureSet, b: FeatureSet) -> np.ndarray:
     """|a| x |b| matrix of Euclidean distances from each a-point to each b-point."""
     from scipy.spatial.distance import cdist
 
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"feature dimensions differ: {a.dim} vs {b.dim}")
+    _check_dims(a, b)
     return cdist(a.points, b.points)
 
 
@@ -259,11 +426,13 @@ def _read_csv(path, header: bool) -> np.ndarray:
     """Numeric rows of a comma-separated file; blank lines are skipped.
 
     With `header`, a first row in which no field is a number is skipped
-    as a header. A seekable file goes to numpy's C tokenizer first; any
-    text it refuses is read again by the exact parser, which alone
-    decides what else is accepted and how each rejection reads.
+    as a header. The text is UTF-8, and a leading byte-order mark is not
+    part of it, so neither reader sees one. A seekable file goes to
+    numpy's C tokenizer first; any text it refuses is read again by the
+    exact parser, which alone decides what else is accepted and how each
+    rejection reads.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():  # the exact parser may have to read it again
             values = _read_fast(fh)
             if values is not None:
@@ -338,16 +507,18 @@ def _records(fh, path):
                 yield lineno, rec
     except UnicodeDecodeError:
         # the decoder counts offsets from the chunk it was handed, so a
-        # seekable file is decoded again whole to place the first bad byte
+        # seekable file is decoded again whole to place the first bad byte;
+        # a byte-order mark decodes as text in plain utf-8, so offsets count it
+        encoding = fh.encoding.removesuffix("-sig")
         where = ""
         if fh.seekable():
             fh.buffer.seek(0)
             data = fh.buffer.read()
             try:
-                data.decode(fh.encoding)
+                data.decode(encoding)
             except UnicodeDecodeError as exc:
                 where = f": byte {data[exc.start]:#04x} at offset {exc.start}"
-        raise SchemaError(f"{path}: not valid {fh.encoding} text{where}") from None
+        raise SchemaError(f"{path}: not valid {encoding} text{where}") from None
 
 
 def load_feature_csv(path) -> FeatureSet:

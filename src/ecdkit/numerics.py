@@ -145,9 +145,8 @@ def _psd_spectrum(m, vectors: bool):
     """Eigenvalues clamped at zero, and eigenvectors when asked, under the
     NotPSD rule of `psd_sqrt`."""
     w, v = _eig(_as_symmetric(m), vectors)
-    lam_max = float(max(w[-1], 0.0))
-    floor = -PSD_SLACK * lam_max
-    if w[0] < floor:
+    floor = -PSD_SLACK * float(w.max(initial=0.0))
+    if w.size and w[0] < floor:  # a 0 x 0 matrix has no eigenvalue to refuse
         raise NotPSD(f"eigenvalue {w[0]:g} below PSD slack {floor:g}")
     return np.clip(w, 0.0, None), v
 

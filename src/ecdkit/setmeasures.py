@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewSamples
-from .metricspace import FeatureSet, cross_distances
+from .metricspace import DistanceMatrix, FeatureSet, _BandedDistances, _Uncertified, cross_distances
 from .numerics import _as_symmetric, _psd_sqrt_trace, _real_array, psd_sqrt
 
 
@@ -27,7 +27,7 @@ class GaussianSummary:
     sample_count: int
 
     def __post_init__(self):
-        mu = _real_array(self.mean, "mean entries", 1)
+        mu = _real_array(self.mean, "mean entries", 1, nonempty=True)
         cov = _as_symmetric(self.covariance, "covariance entries")
         if cov.shape != (mu.size, mu.size):
             raise DimensionMismatch(
@@ -112,3 +112,32 @@ def measures_from_cross(cross) -> MeasureResult:
     marked = np.unique(np.argmin(c, axis=1))
     mean_nearest = float(np.mean(np.min(c, axis=0)))
     return MeasureResult(coverage=float(marked.size) / c.shape[1], mmd=mean_nearest, frechet=None)
+
+
+def _measures_from_pooled(d: DistanceMatrix, n: int) -> MeasureResult:
+    """`measures_from_cross` of the cross block of pooled matrix d, whose
+    first n rows are the first set.
+
+    On a Gram-product matrix (`metricspace._BandedDistances`) each row's
+    and each column's argmin must beat its runner-up by more than twice
+    the band, else `_Uncertified`; the m matching distances are then read
+    exactly, so both values are the exact block's, to the bit.
+    """
+    cross = d.values[:n, n:]
+    if not isinstance(d, _BandedDistances):
+        return measures_from_cross(cross)
+    nearest_b = _certified_argmin(cross, 1, d.band)
+    nearest_a = _certified_argmin(cross, 0, d.band)
+    m = cross.shape[1]
+    matched = d.pairs(nearest_a, np.arange(n, n + m))
+    coverage = float(np.unique(nearest_b).size) / m
+    return MeasureResult(coverage=coverage, mmd=float(np.mean(matched)), frechet=None)
+
+
+def _certified_argmin(block: np.ndarray, axis: int, band: float) -> np.ndarray:
+    """argmin of block along axis where no other entry lies within twice
+    `band` of each minimum, else `_Uncertified`."""
+    lowest = block.min(axis=axis, keepdims=True)
+    if np.any(np.count_nonzero(block <= lowest + 2.0 * band, axis=axis) > 1):
+        raise _Uncertified("a nearest neighbour is within the band of its runner-up")
+    return np.argmin(block, axis=axis)

@@ -16,12 +16,12 @@ The hash order is just as deterministic but uncorrelated with the split.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DisconnectedError, InvalidEdge, InvalidK, SizeMismatch
-from .metricspace import DistanceMatrix
+from .metricspace import DistanceMatrix, _BandedDistances, _Uncertified
 
 #: Tree multiplicity used throughout unless a caller overrides it.
 DEFAULT_K = 10
@@ -85,7 +85,7 @@ class SpanningGraph:
         return tuple(zip(*(a.tolist() for a in (self.ei, self.ej, self.weight, self.layer))))
 
 
-def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
+def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0):
     """One MST of the complete graph minus the edges of an exclusion index.
 
     Reads `d.values` in place; node v's excluded neighbours are
@@ -103,7 +103,17 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
     below it, is the next pick. The pair rank of each frontier node's
     edge to its parent is computed when a tie first needs it and kept
     until the parent changes.
+
+    With a positive `band`, every entry is only known to within `band` of
+    the exact one (see `metricspace._BandedDistances`), so two values
+    order for certain only when they differ by more than twice it. A pick
+    whose runner-up lies within that width, or a key update whose two
+    values do, raises `_Uncertified`; ties are included. Otherwise every
+    pick and every parent is the exact construction's, and the weights
+    returned are the entries read here. With band 0 the loop is the
+    exact one.
     """
+    width = 2.0 * band
     values = d.values
     n = values.shape[0]
     if n < 2:
@@ -129,6 +139,7 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
         return rank[nodes]
 
     at_most = np.empty(n, dtype=bool)
+    lowered = np.empty(n) if width else None
     added = np.empty(n - 1, dtype=np.int64)
     vertex = int(bits.argmin())
     for step in range(n - 1):
@@ -138,7 +149,10 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
         best[vertex] = np.nan
         runner = bits.argmin()
         second = best[runner]
-        if second == lowest:  # any float tie, -0.0 against +0.0 too
+        # any float tie, -0.0 against +0.0 too, or a gap within the band
+        if second == lowest or width and second - lowest <= width:
+            if width:
+                raise _Uncertified(f"pick {step} is within the band of its runner-up")
             best[vertex] = lowest
             cand = (best == lowest).nonzero()[0]
             # candidates are distinct frontier nodes with tree parents, so
@@ -148,7 +162,10 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
             best[vertex] = np.nan
         added[step] = vertex
         row = values[vertex]
-        np.less_equal(row, best, out=at_most)
+        if width:  # a key within the band above its rival may be below it
+            np.less_equal(np.subtract(row, width, out=lowered), best, out=at_most)
+        else:
+            np.less_equal(row, best, out=at_most)
         at_most[nbr[ptr[vertex]:ptr[vertex + 1]]] = False
         near = at_most.nonzero()[0]
         if near.size:
@@ -160,8 +177,10 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray):
             low = gain.argmin()
             if gain[low] < second:
                 runner = near[low]
-            closer = gain < best[near]
+            closer = gain < (best[near] - width if width else best[near])
             if np.count_nonzero(closer) < near.size:
+                if width:
+                    raise _Uncertified(f"a key update of step {step} is within the band")
                 # a tied frontier edge replaces the current one if its pair ranks lower
                 ranks = _pair_rank(n, np.minimum(vertex, near), np.maximum(vertex, near))
                 closer |= ranks < parent_ranks(near)
@@ -235,14 +254,31 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
 
     Feasibility on a complete graph requires k <= floor(N/2); beyond that
     some layer runs out of edges and DisconnectedError reports its index.
+
+    On a Gram-product matrix of `metricspace._pooled_distances` every
+    layer is built within its band. If all of them are certified, each
+    tree edge's weight is read exactly, so the graph is the one the exact
+    matrix gives; if any pick or key update is not, the k-MST is built
+    again on the exact matrix.
     """
     k = _check_k(k)
+    if not isinstance(d, _BandedDistances):
+        return _layers(d, k, 0.0)
+    try:
+        g = _layers(d, k, d.band)
+    except _Uncertified:
+        return _layers(d.exact(), k, 0.0)
+    return replace(g, weight=d.pairs(g.ei, g.ej))
+
+
+def _layers(d: DistanceMatrix, k: int, band: float) -> SpanningGraph:
+    """The k layers of `kmst`, each a `_prim` pass with this band."""
     n = d.n_points
     index = _no_exclusions(n)  # every earlier layer's edges
     trees = []
     for layer in range(1, k + 1):
         try:
-            tree = _prim(d, *index)
+            tree = _prim(d, *index, band)
         except DisconnectedError as exc:
             raise DisconnectedError(
                 f"layer {layer} of {k} cannot be completed: {exc}", layer=layer

@@ -24,9 +24,9 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("pairwise_distances", "subsample_round_indices", "kmst"):
+    for name in ("_pooled_distances", "subsample_round_indices", "kmst"):
         counted(ecd_module, name)
-    for name in ("pairwise_distances", "_sweep_cell", "_grid_cell"):
+    for name in ("_pooled_distances", "_sweep_cell", "_grid_cell"):
         counted(experiments_module, name)
     for name in ("load_feature_csv", "load_distance_csv"):
         counted(cli_module, name)

@@ -5,7 +5,9 @@ committed. A digest pins the exact bytes of one output: CLI `ecd` JSON
 (feature and distance modes, and a subsampled run with its
 `--dump-graph` CSV), CLI `measures` JSON in both modes, both runner
 CSVs at workers 1, 2 and 4 (one digest per seed, every worker count
-writing it), `permutation_samples` rows, `frechet_gaussian` as
+writing it), an `ecd` JSON with its `--dump-graph` CSV and a
+`variance_sweep` CSV at dim 300, where the pooled order comes from a
+certified Gram product, `permutation_samples` rows, `frechet_gaussian` as
 `float.hex`, and the `sample` and `subsample_round_indices` arrays.
 
 A change that moves a digest changes ecdkit's output: list it as an
@@ -226,3 +228,39 @@ ROUND_INDICES = {
 def test_subsample_round_indices_bytes(seed):
     data = b"".join(subsample_round_indices(seed, r, 300, 200).tobytes() for r in range(3))
     check(f"subsample_round_indices bytes, seed {seed}", data, ROUND_INDICES[seed])
+
+
+# Dim 300: pools wide enough that pooled distances may come from a
+# certified Gram product, so these bytes pin that path to the strip one.
+WIDE_ECD = (
+    "5d8e1994a2a8cc747cf2f1f91a66ac78ece5ac60f2340e5c735018b38f0239ce",
+    "6e0088806a46b9a03e1b5b408885feac318a3e89ddfe2daeb179643b9e9277aa",
+)
+
+
+def test_wide_ecd_json_and_graph(tmp_path):
+    a = write_rows(tmp_path / "a.csv", points(106, 60, 300, np.sqrt(1.2)))
+    b = write_rows(tmp_path / "b.csv", points(107, 60, 300))
+    graph = tmp_path / "graph.csv"
+    data = cli_bytes(["ecd", "--set-a", a, "--set-b", b, "--k", "4", "--dump-graph", str(graph)],
+                     tmp_path / "ecd.json")
+    check("dim-300 ecd JSON", data, WIDE_ECD[0])
+    check("dim-300 ecd --dump-graph CSV", graph.read_bytes(), WIDE_ECD[1])
+
+
+WIDE_SWEEP_CSV = {
+    0: "e1b1073034057d6b7f4f277c77edae84110fa86787a277afe7acba6da311788d",
+    17: "4990cb13d5d2f2f85167ad4fbbecacf82e2c3396c8aaaf8a49236877fe171883",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wide_variance_sweep_csv(tmp_path, seed):
+    for workers in (1, 2):
+        data = cli_bytes(
+            ["experiment", "variance-sweep", "--dims", "300", "--n", "40", "--k", "3",
+             "--seed", str(seed), "--workers", str(workers)],
+            tmp_path / f"{workers}.csv",
+        )
+        check(f"dim-300 variance-sweep CSV, seed {seed}, workers {workers}", data,
+              WIDE_SWEEP_CSV[seed])

@@ -34,6 +34,7 @@ FAST = {
     "nan-and-inf": b"nan,inf\n-Infinity,NaN\n",
     "single-value": b"0\n",
     "single-row": b"1,2,3\n",
+    "bom": "﻿0,1\n1,0\n".encode(),
     "55-digit-decimal": b"0,1.234567890123456789012345678901234567890123456789012345\n"
                         b"1.234567890123456789012345678901234567890123456789012345,0\n",
 }
@@ -57,7 +58,6 @@ REJECTED = {
     "fortran-exponent": b"0,1d2\n1d2,0\n",
     "semicolon-separator": b"0;1\n1;0\n",
     "stray-quote": b'0,1"\n1,0\n',
-    "bom": "﻿0,1\n1,0\n".encode(),
     "empty-file": b"",
     "blank-only": b"\n\r\n\n",
     "header": b"a,b\n0,1\n1,0\n",

@@ -195,6 +195,16 @@ def test_psd_sqrt_clamps_rounding_negatives():
     assert s[1, 1] == 0.0
 
 
+def test_psd_sqrt_of_an_empty_matrix_is_empty():
+    # the empty result sym_eig gives, not an IndexError
+    empty = np.zeros((0, 0))
+    w, v = sym_eig(empty)
+    assert (w.shape, v.shape) == ((0,), (0, 0))
+    root = psd_sqrt(empty)
+    assert root.shape == (0, 0) and root.dtype == np.float64
+    assert _psd_sqrt_trace(empty) == 0.0
+
+
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -0.5]))

@@ -65,9 +65,9 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("pairwise_distances", "kmst", "_within_counts"):
+    for name in ("_pooled_distances", "kmst", "_within_counts"):
         counted(ecd_module, name)
-    for name in ("pairwise_distances", "_sweep_cell", "_grid_cell"):
+    for name in ("_pooled_distances", "_sweep_cell", "_grid_cell"):
         counted(experiments_module, name)
     return seen
 

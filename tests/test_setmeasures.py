@@ -9,6 +9,7 @@ from ecdkit import (
     AsymmetryError,
     DimensionMismatch,
     DistributionSpec,
+    EmptySet,
     FeatureSet,
     GaussianSummary,
     NegativeDistanceError,
@@ -121,6 +122,11 @@ class TestFitGaussian:
         cov = np.array([[1.0, 0.2], [0.1, 1.0]])
         with pytest.raises(AsymmetryError):
             GaussianSummary(mean=np.zeros(2), covariance=cov, sample_count=5)
+
+    def test_empty_summary_rejected(self):
+        # by the array rule, before frechet_gaussian could index its spectrum
+        with pytest.raises(EmptySet, match="mean entries must be non-empty"):
+            GaussianSummary(mean=np.zeros(0), covariance=np.zeros((0, 0)), sample_count=3)
 
     @pytest.mark.parametrize("mean, cov", [
         ([np.nan, 0.0], np.eye(2)),
