@@ -284,7 +284,9 @@ def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
         np.fill_diagonal(own, 0.0)
     high = float(values.max())
     band = _band(x.shape[1], top, low, high)
-    if not band <= _BAND_LIMIT * high:
+    # divided, not multiplied: an infinite limit then keeps every band, an
+    # all-zero matrix's too, where inf * 0 would be NaN
+    if not band / _BAND_LIMIT <= high:
         return pairwise_distances(a, b)
     d = object.__new__(_BandedDistances)
     for name, value in (("values", values), ("band", band), ("sets", (a, b))):
@@ -425,12 +427,12 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
 def _read_csv(path, header: bool) -> np.ndarray:
     """Numeric rows of a comma-separated file; blank lines are skipped.
 
-    With `header`, a first row in which no field is a number is skipped
-    as a header. The text is UTF-8, and a leading byte-order mark is not
-    part of it, so neither reader sees one. A seekable file goes to
-    numpy's C tokenizer first; any text it refuses is read again by the
-    exact parser, which alone decides what else is accepted and how each
-    rejection reads.
+    With `header`, a first row of two or more fields, none of them a
+    number, is skipped as a header. The text is UTF-8, and a leading
+    byte-order mark is not part of it, so neither reader sees one. A
+    seekable file goes to numpy's C tokenizer first; any text it refuses
+    is read again by the exact parser, which alone decides what else is
+    accepted and how each rejection reads.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():  # the exact parser may have to read it again
@@ -469,7 +471,7 @@ def _read_exact(fh, path, header: bool) -> np.ndarray:
     for lineno, rec in _records(fh, path):
         if header:
             header = False
-            if not any(map(_numeral, rec)):
+            if len(rec) > 1 and not any(map(_numeral, rec)):
                 continue  # header row
         try:
             rows.append([float(f) for f in rec])
@@ -524,9 +526,10 @@ def _records(fh, path):
 def load_feature_csv(path) -> FeatureSet:
     """Read a feature CSV: one point per row, comma-separated numerals.
 
-    A single leading header row is auto-detected: a first row in which
-    no field is a number is skipped; one that mixes numbers and other
-    text raises SchemaError naming line 1.
+    A single leading header row is auto-detected: a first row of two or
+    more fields, none of them a number, is skipped. Any other first row
+    is data, so one that mixes numbers and other text, or a one-field
+    row that is not a number, raises SchemaError naming line 1.
     """
     return FeatureSet(_read_csv(path, header=True))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DisconnectedError, InvalidEdge, InvalidK, SizeMismatch
+from .errors import DisconnectedError, InvalidK, SizeMismatch
 from .metricspace import DistanceMatrix, _BandedDistances, _Uncertified
 
 #: Tree multiplicity used throughout unless a caller overrides it.
@@ -217,24 +217,13 @@ def _no_exclusions(n: int):
     return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def mst(d: DistanceMatrix, excluded=()):
-    """Minimum spanning tree of the complete graph minus `excluded` edges.
+def mst(d: DistanceMatrix):
+    """Minimum spanning tree: the one layer of `kmst(d, 1)`.
 
-    `excluded` is an iterable of (i, j) pairs in either orientation, each
-    index in 0..N-1; anything else raises InvalidEdge.
     Returns N-1 edges as (i, j, weight) with i < j.
     """
-    n = d.n_points
-    try:
-        pairs = [(operator.index(i), operator.index(j)) for i, j in excluded]
-    except TypeError:
-        raise InvalidEdge("excluded edges must be pairs of integer node indices") from None
-    for pair in pairs:
-        if not (0 <= pair[0] < n and 0 <= pair[1] < n):
-            raise InvalidEdge(f"excluded edge {pair} has a node outside 0..{n - 1}")
-    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    lo, hi, weight = _prim(d, *_with_excluded(*_no_exclusions(n), lo, hi))
-    return list(zip(lo.tolist(), hi.tolist(), weight.tolist()))
+    g = kmst(d, 1)
+    return list(zip(g.ei.tolist(), g.ej.tolist(), g.weight.tolist()))
 
 
 def _check_k(k) -> int:

@@ -26,7 +26,6 @@ NAMES = [
     "GaussianSummary",
     "GeneratedSetTooSmall",
     "InputError",
-    "InvalidEdge",
     "InvalidK",
     "InvalidSpec",
     "InvalidTrials",
@@ -138,7 +137,7 @@ SIGNATURES = {
     "measures_from_cross": "(cross) -> 'MeasureResult'",
     "measures_from_features": "(a: 'FeatureSet', b: 'FeatureSet') -> 'MeasureResult'",
     "mmd": "(a: 'FeatureSet', b: 'FeatureSet') -> 'float'",
-    "mst": "(d: 'DistanceMatrix', excluded=())",
+    "mst": "(d: 'DistanceMatrix')",
     "null_moments": "(g: 'SpanningGraph', n: 'int', m: 'int') -> 'NullMoments'",
     "pairwise_distances": "(a: 'FeatureSet', b: 'FeatureSet') -> 'DistanceMatrix'",
     "permutation_moments": (
@@ -165,7 +164,6 @@ ERROR_BASES = {
     "EmptySet": "InputError",
     "GeneratedSetTooSmall": "InputError",
     "InputError": "EcdkitError",
-    "InvalidEdge": "InputError",
     "InvalidK": "InputError",
     "InvalidSpec": "InputError",
     "InvalidTrials": "InputError",

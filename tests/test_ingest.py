@@ -6,8 +6,14 @@ fail with the same error type and message, as when the exact parser
 reads it alone.
 """
 
+import contextlib
+import csv
 import importlib
+import io
+import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from ecdkit import InputError, load_distance_csv, load_feature_csv
+from ecdkit.cli import main
 from ecdkit.errors import SchemaError
 
 metricspace = importlib.import_module("ecdkit.metricspace")
@@ -163,3 +170,155 @@ def test_load_distance_csv_holds_no_python_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * d.values.nbytes
+
+
+# --- the input contract as a property over generated CSV bytes --------------
+
+_NUMBERS = st.one_of(
+    st.floats(-1e9, 1e9).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0", "+0", "0.0", "-0.0", "5e-324", "1_0", ".5", "5.", "1E+2",
+                     "\u0663"]),
+)
+_FIELDS = st.one_of(
+    st.builds(lambda pad, number: pad[0] + number + pad[1], st.tuples(_PAD, _PAD), _NUMBERS),
+    _NUMBERS.map('"{}"'.format),
+)
+#: valid, but a covariance of them overflows, so one file in eight has one
+_HUGE = st.sampled_from(["1e300", "-1e300", "1.7976931348623157e308"])
+_BLANKS = st.sampled_from(["", " ", "\t", " , ", "\xa0"])
+#: at most one per file, each of which the contract rejects
+_DEFECTS = {
+    "one-field-header": st.sampled_from(["x", "l", '"name"']),
+    "mixed-first-row": st.sampled_from(["x,1", "l,2", "0x1p3,2", "1;2"]),
+    "bad-field": st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "1d2", "0x1", '1"', ""]),
+    "ragged": st.sampled_from([1, -1]),
+    "undecodable": st.sampled_from([b"\xff", b"\xc3", b"\x80"]),
+    "no-rows": st.just(None),
+}
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of two small feature files of one width."""
+    width = draw(st.integers(1, 3))
+    return draw(csv_file(width)), draw(csv_file(width))
+
+
+@st.composite
+def csv_file(draw, width):
+    """The bytes of one small feature file: numbers in several spellings,
+    blank lines, one line end throughout, now and then a header of
+    several fields or a byte-order mark, and in about every other file
+    one defect of `_DEFECTS`."""
+    defect = draw(st.sampled_from([None] * 6 + sorted(_DEFECTS)))
+    rows = [[draw(_FIELDS) for _ in range(width)] for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.integers(0, 7)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(_HUGE)
+    if defect == "no-rows":
+        rows = []
+    elif defect == "bad-field":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(_DEFECTS[defect])
+    elif defect == "ragged" and len(rows) > 1:
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        if draw(_DEFECTS[defect]) > 0 or width == 1:
+            row.append(draw(_FIELDS))
+        else:
+            row.pop()
+    lines = [",".join(row) for row in rows]
+    if defect in ("one-field-header", "mixed-first-row"):
+        lines.insert(0, draw(_DEFECTS[defect]))
+    elif width > 1 and draw(st.booleans()):
+        lines.insert(0, ",".join(draw(st.sampled_from(["x", "y", "z", '"x"', " size "]))
+                                 for _ in range(width)))
+    for _ in range(draw(st.integers(0, 2))):  # before the first row too
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BLANKS))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (end.join(lines) + draw(st.sampled_from(["", end]))).encode()
+    if draw(st.booleans()):
+        data = "\ufeff".encode() + data
+    if defect == "undecodable":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(_DEFECTS[defect]) + data[at:]
+    return data
+
+
+def reference_rows(data):
+    """The data rows of a feature file by csv and float() alone, or None
+    when the contract rejects it: undecodable text, a non-numeric or
+    non-finite field, ragged rows or no rows. Blank and whitespace-only
+    lines are skipped; the first other row is a header, and skipped, when
+    it has two or more fields and none of them is a number."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    records = [rec for rec in csv.reader(io.StringIO(text, newline=""))
+               if any(f.strip() for f in rec)]
+    if records and len(records[0]) > 1 and not any(map(_is_number, records[0])):
+        records = records[1:]
+    try:
+        rows = [[float(f) for f in rec] for rec in records]
+    except ValueError:
+        return None
+    if not rows or len({len(row) for row in rows}) > 1:
+        return None
+    if not all(math.isfinite(v) for row in rows for v in row):
+        return None
+    return rows
+
+
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=csv_files())
+def test_feature_files_keep_the_input_contract(tmp_path_factory, files):
+    folder = tmp_path_factory.mktemp("contract")
+    paths = [folder / "a.csv", folder / "b.csv"]
+    counts = []
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+        want = reference_rows(data)
+        counts.append(None if want is None else len(want))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = load_feature_csv(path).points
+            except InputError:
+                got = None
+        if want is None:
+            assert got is None
+        else:
+            ref = np.array(want, dtype=np.float64)
+            assert got is not None and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        # the two readers agree to the bit wherever both accept the text
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            fast = metricspace._read_fast(fh)
+            fh.seek(0)
+            try:
+                exact = metricspace._read_exact(fh, path, True)
+            except InputError:
+                exact = None
+        if fast is not None and exact is not None:
+            assert fast.tobytes() == exact.tobytes() and fast.shape == exact.shape
+
+    out, err = folder / "out.json", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["measures", "--set-a", str(paths[0]), "--set-b", str(paths[1]),
+                     "--out", str(out)])
+    if code == 0:
+        report = json.loads(out.read_text())
+        assert [report["n"], report["m"]] == counts
+    else:
+        assert code == 2 or (code == 3 and None not in counts)
+        message = err.getvalue()
+        assert message.startswith("numeric error: " if code == 3 else "error: ")
+        assert message.count("\n") == 1 and message.endswith("\n")

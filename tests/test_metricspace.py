@@ -356,13 +356,19 @@ def test_load_feature_csv_without_header(tmp_path):
     assert load_feature_csv(p).n_points == 2
 
 
-@pytest.mark.parametrize("first", ["l,2", "0x1p3,2", "x,1"],
-                         ids=["letter-for-digit", "hex-float", "half-header"])
-def test_load_feature_csv_mixed_first_row_is_an_error(tmp_path, first):
-    # a header is a first row in which no field is a number; a first row
-    # that mixes the two is a bad data row, not a header to drop
+@pytest.mark.parametrize("text", [
+    "l,2\n3,4\n5,6\n",
+    "0x1p3,2\n3,4\n5,6\n",
+    "x,1\n3,4\n5,6\n",
+    "l\n3\n5\n",
+    "1;2\n3;4\n5;6\n",
+], ids=["letter-for-digit", "hex-float", "half-header", "one-field", "semicolons"])
+def test_load_feature_csv_mixed_first_row_is_an_error(tmp_path, text):
+    # a header is a first row of two or more fields, none of them a number;
+    # any other first row is data, so a typo in it is a bad data row, not a
+    # header to drop
     p = tmp_path / "a.csv"
-    p.write_text(first + "\n3,4\n5,6\n", encoding="utf-8")
+    p.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaError, match="non-numeric value on line 1"):
         load_feature_csv(p)
 

@@ -15,15 +15,14 @@ from ecdkit import (
     DisconnectedError,
     DistanceMatrix,
     FeatureSet,
-    InputError,
-    InvalidEdge,
     InvalidK,
     degree_statistic,
     kmst,
     mst,
     pairwise_distances,
 )
-from ecdkit.spanning import _pair_rank
+from ecdkit.metricspace import _pooled_distances
+from ecdkit.spanning import _no_exclusions, _pair_rank, _prim, _with_excluded
 
 
 def dmat(points):
@@ -33,6 +32,15 @@ def dmat(points):
     raw = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     upper = np.triu(raw, 1)
     return DistanceMatrix(upper + upper.T)
+
+
+def excluded_mst(d, excluded):
+    """The MST of `d` minus the `excluded` pairs, either orientation, by
+    `_prim` on an exclusion index that `_with_excluded` builds, as the
+    k-MST's later layers are."""
+    lo, hi = np.array(excluded, dtype=np.int64).reshape(-1, 2).T
+    lo, hi, weight = _prim(d, *_with_excluded(*_no_exclusions(d.n_points), lo, hi))
+    return list(zip(lo.tolist(), hi.tolist(), weight.tolist()))
 
 
 def pairs(triples):
@@ -60,14 +68,14 @@ class TestSingleTree:
             assert i < j
 
     def test_exclusion_forces_detour(self):
-        tree = mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=((0, 1),))
+        tree = excluded_mst(dmat([0.0, 1.0, 2.0, 3.0]), ((0, 1),))
         assert pairs(tree) == {(0, 2), (1, 2), (2, 3)}
         assert sum(w for _, _, w in tree) == pytest.approx(4.0)
 
     def test_exclusion_can_disconnect(self):
         # removing both edges at node 0 in a 3-node graph strands it
         with pytest.raises(DisconnectedError):
-            mst(dmat([0.0, 1.0, 2.0]), excluded=((0, 1), (0, 2)))
+            excluded_mst(dmat([0.0, 1.0, 2.0]), ((0, 1), (0, 2)))
 
 
 def spanning_trees_brute(n):
@@ -224,25 +232,6 @@ class TestValidation:
             kmst(dmat([0.0, 1.0, 2.0]), k=True)
 
 
-class TestExcludedValidation:
-    def test_negative_index_rejected(self):
-        # a wrapped -1 would silently exclude edge (2, 3) instead
-        with pytest.raises(InvalidEdge):
-            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(-1, 2)])
-
-    def test_index_past_last_node_rejected(self):
-        with pytest.raises(InvalidEdge):
-            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(4, 2)])
-
-    def test_non_integer_index_rejected(self):
-        with pytest.raises(InvalidEdge):
-            mst(dmat([0.0, 1.0, 2.0, 3.0]), excluded=[(1.0, 2)])
-
-    def test_is_an_input_error(self):
-        # the CLI maps every InputError to exit status 2
-        assert issubclass(InvalidEdge, InputError)
-
-
 # --- equality gate against the frozen dense-copy construction ---------------
 
 KINDS = ("gaussian", "binary", "ternary", "duplicate", "mixed")
@@ -339,13 +328,13 @@ class TestMatchesReference:
         d = pooled_matrix(kind, 30, 4, seed=9)
         rng = np.random.default_rng(17)
         excluded = [tuple(int(v) for v in rng.integers(0, 30, 2)) for _ in range(60)]
-        assert mst(d, excluded) == reference_mst(d, excluded)
+        assert excluded_mst(d, excluded) == reference_mst(d, excluded)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mst_disconnected_by_exclusions(self, kind):
         d = pooled_matrix(kind, 8, 2, seed=3)
         excluded = [(3, j) for j in range(8)]
-        assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
+        assert outcome(excluded_mst, d, excluded) == outcome(reference_mst, d, excluded)
 
     def test_signed_zeros(self):
         d = pooled_matrix("ternary", 40, 2, seed=8, duplicates=True, signed_zeros=True)
@@ -377,7 +366,7 @@ class TestMatchesReference:
         assert_same_graph(outcome(kmst, d, 7), outcome(reference_kmst, d, 7))
         assert_same_graph(kmst(d, 7), kmst(c, 7))
         excluded = [(i, (5 * i + 1) % 36) for i in range(36)]
-        assert mst(d, excluded) == reference_mst(d, excluded)
+        assert excluded_mst(d, excluded) == reference_mst(d, excluded)
 
     def test_mixed_pool_at_dim_100(self):
         d = pooled_matrix("mixed", 80, 100, seed=2)
@@ -395,7 +384,7 @@ class TestMatchesReference:
         # listed twice as given and once reversed; the path's own edge (2, 3)
         d = dmat([0.0, 1.0, 2.0, 3.0, 4.0])
         excluded = [(2, 3), (3, 2), (2, 3), (0, 4)]
-        got = mst(d, excluded)
+        got = excluded_mst(d, excluded)
         assert (2, 3) not in pairs(got)
         assert got == reference_mst(d, excluded)
 
@@ -415,7 +404,7 @@ class TestMatchesReference:
         assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
         excluded = [tuple(int(v) for v in pair)
                     for pair in np.random.default_rng(seed).integers(0, n, (n, 2))]
-        assert outcome(mst, d, excluded) == outcome(reference_mst, d, excluded)
+        assert outcome(excluded_mst, d, excluded) == outcome(reference_mst, d, excluded)
 
 
 # kmst's arrays on fixed pools, as sha256 of the ei, ej, weight and layer
@@ -441,6 +430,62 @@ def test_kmst_bytes_are_pinned(pool, digest):
     for part in (g.ei, g.ej, g.weight, g.layer):
         h.update(part.tobytes())
     assert h.hexdigest() == digest
+
+
+# every fixed matrix of TestMatchesReference, then the pinned pools: a
+# pooled_matrix argument tuple, or a tagged one for the other builders
+REFERENCE_POOLS = [
+    *((kind, n, dim, n * dim + k)
+      for n, dim, k in [(40, 3, 5), (61, 8, 10), (12, 2, 6), (9, 1, 5)] for kind in KINDS),
+    *((kind, n, dim, seed) for n, dim, seed in [(10, 2, 5), (30, 4, 9), (8, 2, 3)]
+      for kind in KINDS),
+    ("ternary", 40, 2, 8, True, True),
+    ("gaussian", 45, 3, 12, True),
+    ("mixed", 45, 3, 12, True),
+    *(("fortran", kind, 36, 3, 6) for kind in KINDS),
+    ("mixed", 80, 100, 2),
+    *(("all-equal", n) for n in (2, 7, 20)),
+    *(("constructed", case) for case in ("undercut", "three_way_tie", "hub")),
+    *(pool for pool, _ in PINNED),
+]
+
+
+def reference_pool(spec):
+    """The matrix one REFERENCE_POOLS entry names."""
+    if spec[0] == "fortran":
+        return DistanceMatrix(np.asfortranarray(pooled_matrix(*spec[1:]).values))
+    if spec[0] == "all-equal":
+        values = np.full((spec[1], spec[1]), 2.5)
+        np.fill_diagonal(values, 0.0)
+        return DistanceMatrix(values)
+    if spec[0] == "constructed":
+        return constructed(spec[1])[0]
+    return pooled_matrix(*spec)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_POOLS,
+                         ids=["-".join(map(str, spec)) for spec in REFERENCE_POOLS])
+def test_mst_is_the_first_kmst_layer(spec):
+    d = reference_pool(spec)
+    g = kmst(d, 1)
+    ei, ej, weight = zip(*mst(d))
+    assert np.array(ei, dtype=np.int64).tobytes() == g.ei.tobytes()
+    assert np.array(ej, dtype=np.int64).tobytes() == g.ej.tobytes()
+    assert np.array(weight, dtype=np.float64).tobytes() == g.weight.tobytes()
+
+
+def test_mst_on_a_gram_matrix_has_the_strip_weights():
+    # at dim 300 the pooled matrix comes from one Gram product, whose
+    # entries are only within its band of the strip path's
+    rng = np.random.default_rng(5)
+    a, b = (FeatureSet(rng.standard_normal((60, 300))) for _ in range(2))
+    d = _pooled_distances(a, b)
+    assert d.band > 0.0
+    tree, strip = mst(d), mst(pairwise_distances(a, b))
+    assert [(i, j, np.float64(w).tobytes()) for i, j, w in tree] == [
+        (i, j, np.float64(w).tobytes()) for i, j, w in strip
+    ]
+    assert any(d.values[i, j] != w for i, j, w in tree)
 
 
 @pytest.mark.parametrize("size", [0, 1, 4, 66, 1000])
