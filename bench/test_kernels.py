@@ -1,5 +1,5 @@
 """Micro-benchmarks of the eigensolver, pooled-distance (strips and the
-certified Gram product), k-MST (exact and banded), tie-rank,
+certified Gram product), k-MST (exact, banded and integer-keyed), tie-rank,
 edge-count, null-moment, COV/MMD and CSV-ingest kernels, of one whole
 `ecd` comparison and one subsampled one, of the two experiment runners at
 one and two workers, and of the CLI: start-up and one whole `ecdkit ecd`
@@ -172,6 +172,34 @@ def test_kmst_mixed_1000_dim_100(benchmark):
     assert g.n_edges == 10 * 999
 
 
+def integer_pool(values, n, dim, p=None):
+    """Pooled exact matrix of n points whose features are drawn from
+    `values` (with probabilities p): integer-valued distances, which
+    order the k-MST by one integer key."""
+    rng = np.random.default_rng(0)
+    pts = rng.choice(np.array(values, dtype=float), size=(n, dim), p=p)
+    return pairwise_distances(FeatureSet(pts[:n // 2]), FeatureSet(pts[n // 2:]))
+
+
+@pytest.mark.parametrize("values, n, dim, p", [
+    ((0, 1, 2), 1000, 100, None),
+    ((0, 1), 2000, 512, (0.9, 0.1)),  # sparse occupancy, as a voxel grid gives
+    ((-1, 1), 2000, 100, None),
+], ids=["ternary-1000-dim-100", "occupancy-2000-dim-512", "binary-2000-dim-100"])
+def test_kmst_integer(benchmark, values, n, dim, p):
+    d = integer_pool(values, n, dim, p)
+    g = benchmark.pedantic(kmst, (d, 10), rounds=3)
+    assert g.n_edges == 10 * (n - 1)
+    # one more call, untimed, for the peak beside the matrix: the N x N uint32 key
+    tracemalloc.start()
+    try:
+        kmst(d, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
+
+
 @pytest.mark.parametrize("size", [4, 66])
 def test_pair_rank(benchmark, size):
     # tie ranks come in few-entry arrays, so the per-call cost dominates
@@ -244,9 +272,10 @@ def test_load_feature_csv_2000_dim_100(benchmark, tmp_path_factory):
     assert np.array_equal(fs.points, points)
 
 
-# Runner threads overlap only sampling and pooled distances; scoring takes
-# turns. Comparing the workers=1 and workers=2 cases shows what the second
-# thread buys (set OPENBLAS_NUM_THREADS=1 so BLAS adds no threads of its own).
+# Runner threads overlap only sampling and, at high dimension, the Gram
+# products: scoring takes turns, and scipy's strip distances hold the GIL.
+# Comparing the workers=1 and workers=2 cases shows what the second thread
+# buys (set OPENBLAS_NUM_THREADS=1 so BLAS adds no threads of its own).
 @pytest.mark.parametrize("workers", [1, 2])
 def test_distribution_grid_dim_100(benchmark, workers):
     table = benchmark.pedantic(distribution_grid, kwargs={

@@ -218,10 +218,12 @@ def _rows(base_seed, exp, kind_a, kind_b, dim, var_a, n, k, measures) -> list:
 
 #: Taken around the stage of a cell that holds the GIL: the k-MST (with,
 #: at high dimension, its certification and exact weight reads), its counts
-#: and moments, and the grid's Fréchet term. Sampling, the pooled distances
-#: (strips or a Gram product) and the sweep's COV and MMD release the GIL
-#: for most of their time and overlap across runner threads; two threads
-#: interleaving Python loops only hand the GIL back and forth and lose to one.
+#: and moments, and the grid's Fréchet term: two threads interleaving
+#: Python loops only hand the GIL back and forth and lose to one. Of the
+#: rest, only what releases the GIL overlaps another thread's scoring:
+#: sampling, and the BLAS products of a Gram-product matrix. scipy's
+#: `pdist` and `cdist` hold the GIL (scipy 1.17.1), so strip distances
+#: below `metricspace._GRAM_MIN_DIM` run one thread at a time, lock or not.
 _SCORING = threading.Lock()
 
 

@@ -502,11 +502,15 @@ def _numeral(field: str) -> bool:
 def _records(fh, path):
     """(line number, fields) of each CSV record of fh that has a non-blank
     field: the one record reader of numeric files and experiment tables.
-    Bytes fh's encoding cannot decode raise SchemaError."""
+    Bytes fh's encoding cannot decode, and a record the csv module refuses
+    (a field beyond its size limit, say), raise SchemaError."""
+    lineno = 0
     try:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
             if any(f.strip() for f in rec):
                 yield lineno, rec
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {lineno + 1}: {exc}") from None
     except UnicodeDecodeError:
         # the decoder counts offsets from the chunk it was handed, so a
         # seekable file is decoded again whole to place the first bad byte;

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import DimensionMismatch, NumericError, TooFewSamples
 from .metricspace import DistanceMatrix, FeatureSet, _BandedDistances, _Uncertified, cross_distances
 from .numerics import _as_symmetric, _psd_sqrt_trace, _real_array, psd_sqrt
 
@@ -65,14 +65,22 @@ def mmd(a: FeatureSet, b: FeatureSet) -> float:
 
 
 def fit_gaussian(x: FeatureSet) -> GaussianSummary:
-    """Sample mean and unbiased (n-1) covariance of a feature set."""
+    """Sample mean and unbiased (n-1) covariance of a feature set.
+
+    Finite features whose mean or covariance overflows float64 raise
+    NumericError: the input is valid, the arithmetic is not.
+    """
     if x.n_points < 2:
         raise TooFewSamples(f"covariance needs at least 2 samples, got {x.n_points}")
-    mean = x.points.mean(axis=0)
-    dev = x.points - mean
-    # einsum keeps the contraction order fixed and the result exactly
-    # symmetric (products commute bitwise)
-    cov = np.einsum("ni,nj->ij", dev, dev) / (x.n_points - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mean = x.points.mean(axis=0)
+        dev = x.points - mean
+        # einsum keeps the contraction order fixed and the result exactly
+        # symmetric (products commute bitwise)
+        cov = np.einsum("ni,nj->ij", dev, dev) / (x.n_points - 1.0)
+    for name, value in (("mean", mean), ("covariance", cov)):
+        if not np.isfinite(value).all():
+            raise NumericError(f"the feature {name} overflows float64 on finite input")
     return GaussianSummary(mean=mean, covariance=cov, sample_count=x.n_points)
 
 

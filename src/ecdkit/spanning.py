@@ -26,6 +26,9 @@ from .metricspace import DistanceMatrix, _BandedDistances, _Uncertified
 #: Tree multiplicity used throughout unless a caller overrides it.
 DEFAULT_K = 10
 
+#: Entries per strip while `_integer_order` builds its key.
+_KEY_STRIP = 2 ** 14
+
 # 0-d arrays, not numpy scalars: a ufunc takes them without a scalar
 # conversion, about half the cost per call on the few-entry arrays ties give
 _MIX_INC, _MIX_A, _MIX_B, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
@@ -85,10 +88,14 @@ class SpanningGraph:
         return tuple(zip(*(a.tolist() for a in (self.ei, self.ej, self.weight, self.layer))))
 
 
-def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0):
+def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0,
+          order: np.ndarray | None = None):
     """One MST of the complete graph minus the edges of an exclusion index.
 
-    Reads `d.values` in place; node v's excluded neighbours are
+    Compares on `order`, an N x N array that orders the frontier as the
+    distances do (`_integer_order`'s key), or on `d.values` when it is
+    None; either way it is read in place, and each tree edge's weight is
+    read from `d.values` as (parent, child). Node v's excluded neighbours are
     ``nbr[ptr[v]:ptr[v + 1]]`` (CSR, see `_with_excluded`). Starts from
     node 0. At every step the cheapest frontier edge is added; among
     equal-weight frontier edges the one with the smallest pair rank wins.
@@ -115,11 +122,12 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
     """
     width = 2.0 * band
     values = d.values
+    keys = values if order is None else order
     n = values.shape[0]
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
     ptr = ptr.tolist()  # Python ints slice `nbr` faster than numpy scalars
-    best = values[0].copy()
+    best = keys[0].astype(np.float64)  # a copy, which holds every key exactly
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
     bits = best.view(np.int64)
@@ -161,7 +169,7 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
             vertex, runner = int(cand[win]), cand[win - 1]  # any other candidate
             best[vertex] = np.nan
         added[step] = vertex
-        row = values[vertex]
+        row = keys[vertex]
         if width:  # a key within the band above its rival may be below it
             np.less_equal(np.subtract(row, width, out=lowered), best, out=at_most)
         else:
@@ -192,6 +200,58 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
         vertex = int(runner)
     ends = parent[added]
     return np.minimum(ends, added), np.maximum(ends, added), values[ends, added]
+
+
+def _integer_order(values: np.ndarray) -> np.ndarray | None:
+    """The uint32 order key of an integer-valued exact matrix, else None.
+
+    It applies when every entry w is the correctly rounded square root of
+    an integer ``s = rint(w * w)`` below 2^16, as binary, ternary and count
+    features give. Entry (i, j) of the key is ``(s << keep) | (r >> (64 -
+    keep))``, with r the pair rank of (min(i, j), max(i, j)) and keep = 32
+    - bit_length(max s). Distinct s order as their distances do, since the
+    rounded square root is monotone and tells integers below 2^16 apart,
+    and among equal s the top bits of r order as r does; so `_prim` on the
+    key makes every pick and parent it makes on the distances, and two
+    keys tie only where s and those bits match, which its tie path
+    settles on the full rank. Row 0 is checked first, so a matrix that is
+    not integer-valued costs one row. The key is built in strips of about
+    `_KEY_STRIP` entries, whose temporaries are small beside it.
+    """
+    n = values.shape[0]
+    if n < 2 or _squares(values[:1]) is None:
+        return None
+    top = float(values.max())
+    if not top < 256.0:  # s at least 2^16
+        return None
+    keep = 32 - int(round(top * top)).bit_length()
+    shift = np.uint64(64 - keep)
+    order = np.empty((n, n), dtype=np.uint32)
+    rows = max(1, _KEY_STRIP // n)
+    nodes = np.arange(n, dtype=np.int64)
+    for r0 in range(0, n, rows):
+        s = _squares(values[r0:r0 + rows])
+        if s is None:
+            return None
+        block, r = order[r0:r0 + rows], nodes[r0:r0 + rows, None]
+        block[...] = s
+        if keep < 32:  # else every s is 0
+            block <<= keep
+        rank = _pair_rank(n, np.minimum(r, nodes), np.maximum(r, nodes))
+        rank >>= shift
+        block |= rank
+    return order
+
+
+def _squares(w: np.ndarray) -> np.ndarray | None:
+    """``rint(w * w)`` when every entry of w is below 256 (so no square
+    overflows) and the correctly rounded square root of its rint, else
+    None; -0.0 is the root of 0."""
+    if not w.max() < 256.0:
+        return None
+    s = np.multiply(w, w)
+    np.rint(s, out=s)
+    return s if np.array_equal(np.sqrt(s), w) else None
 
 
 def _with_excluded(ptr: np.ndarray, nbr: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -263,11 +323,13 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
 def _layers(d: DistanceMatrix, k: int, band: float) -> SpanningGraph:
     """The k layers of `kmst`, each a `_prim` pass with this band."""
     n = d.n_points
+    # an exact matrix is checked for the integer key; a banded one never is
+    order = None if band else _integer_order(d.values)
     index = _no_exclusions(n)  # every earlier layer's edges
     trees = []
     for layer in range(1, k + 1):
         try:
-            tree = _prim(d, *index, band)
+            tree = _prim(d, *index, band, order)
         except DisconnectedError as exc:
             raise DisconnectedError(
                 f"layer {layer} of {k} cannot be completed: {exc}", layer=layer

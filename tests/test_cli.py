@@ -114,6 +114,14 @@ class TestEcdErrors:
         assert main(["ecd", "--set-a", a, "--set-b", b, "--k", "2"]) == 3
         assert "numeric" in capsys.readouterr().err
 
+    def test_overflowing_covariance_is_numeric_failure(self, tmp_path, capsys):
+        # finite features whose covariance overflows: numeric, not bad input
+        a = write_points(tmp_path / "a.csv", [[1e300, 1.0], [-1e300, 2.0], [0.0, 3.0]])
+        b = write_points(tmp_path / "b.csv", [[0.0, 1.0], [1.0, 0.0]])
+        assert main(["measures", "--set-a", a, "--set-b", b]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: the feature covariance overflows float64 on finite input\n"
+
     def test_negative_seed(self, pair_files, capsys):
         a, b = pair_files
         assert main(["ecd", "--set-a", a, "--set-b", b, "--seed", "-1",

@@ -25,6 +25,7 @@ from scipy.spatial.distance import cdist
 from ecdkit import InputError, load_distance_csv, load_feature_csv
 from ecdkit.cli import main
 from ecdkit.errors import SchemaError
+from ecdkit.experiments import CSV_HEADER, ExperimentTable
 
 metricspace = importlib.import_module("ecdkit.metricspace")
 
@@ -155,6 +156,28 @@ def test_undecodable_byte_is_named_by_offset(tmp_path):
     path.write_bytes(b"0,1\n1,0\n" * 5000 + b"1,\xff\n")
     with pytest.raises(SchemaError, match=r"byte 0xff at offset 40002"):
         load_distance_csv(path)
+
+
+#: a quoted field beyond the csv module's 131072-character limit
+_OVERSIZED = b"\"" + b"1" * 200_000 + b"\",4\n"
+
+
+@pytest.mark.parametrize("kind", ["features", "distances", "table"])
+def test_oversized_field_is_a_schema_error(tmp_path, kind, capsys):
+    # line 1 is a valid record of its kind, line 2 the oversized one
+    path = tmp_path / "big.csv"
+    first = ",".join(CSV_HEADER).encode() if kind == "table" else b"1,2"
+    path.write_bytes(first + b"\n" + _OVERSIZED)
+    load = {"features": load_feature_csv, "distances": load_distance_csv,
+            "table": ExperimentTable.from_csv}[kind]
+    with pytest.raises(SchemaError, match=rf"^{path}: line 2: field larger than field limit"):
+        load(path)
+    args = {"features": ["measures", "--set-a", str(path), "--set-b", str(path)],
+            "distances": ["ecd", "--distances", str(path), "--split", "1"],
+            "table": ["plot", "--table", str(path), "--out", str(tmp_path / "x")]}[kind]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: ") and err.count("\n") == 1
 
 
 def test_load_distance_csv_holds_no_python_floats(tmp_path):
@@ -310,15 +333,41 @@ def test_feature_files_keep_the_input_contract(tmp_path_factory, files):
         if fast is not None and exact is not None:
             assert fast.tobytes() == exact.tobytes() and fast.shape == exact.shape
 
+    report = cli_report(folder, ["measures", "--set-a", str(paths[0]), "--set-b", str(paths[1])],
+                        counts)
+    if report is not None:
+        assert [report["n"], report["m"]] == counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(files=csv_files())
+def test_ecd_feature_files_keep_the_input_contract(tmp_path_factory, files):
+    folder = tmp_path_factory.mktemp("contract-ecd")
+    paths = [folder / "a.csv", folder / "b.csv"]
+    counts = []
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+        want = reference_rows(data)
+        counts.append(None if want is None else len(want))
+    # k = 1 spans any two sets of 2 or more points; a larger first set is
+    # subsampled to the second's size, which the report gives as its n
+    report = cli_report(folder, ["ecd", "--set-a", str(paths[0]), "--set-b", str(paths[1]),
+                                 "--k", "1", "--seed", "0"], counts)
+    if report is not None:
+        assert [report["n"], report["m"]] == [min(counts), counts[1]]
+
+
+def cli_report(folder, args, counts):
+    """The JSON report of CLI `args` when it exits 0, else None once its
+    exit is checked: 2 with one `error:` line, or 3 with one `numeric
+    error:` line, which only files that both load may give."""
     out, err = folder / "out.json", io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["measures", "--set-a", str(paths[0]), "--set-b", str(paths[1]),
-                     "--out", str(out)])
+        code = main([*args, "--out", str(out)])
     if code == 0:
-        report = json.loads(out.read_text())
-        assert [report["n"], report["m"]] == counts
-    else:
-        assert code == 2 or (code == 3 and None not in counts)
-        message = err.getvalue()
-        assert message.startswith("numeric error: " if code == 3 else "error: ")
-        assert message.count("\n") == 1 and message.endswith("\n")
+        return json.loads(out.read_text())
+    assert code == 2 or (code == 3 and None not in counts)
+    message = err.getvalue()
+    assert message.startswith("numeric error: " if code == 3 else "error: ")
+    assert message.count("\n") == 1 and message.endswith("\n")
+    return None

@@ -1,6 +1,7 @@
 """Coverage, matching distance, and the Gaussian Fréchet score."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ecdkit import (
     NegativeDistanceError,
     NonFiniteInput,
     NotPSD,
+    NumericError,
     TooFewSamples,
     coverage,
     fit_gaussian,
@@ -117,6 +119,16 @@ class TestFitGaussian:
         summary = fit_gaussian(x)
         assert np.abs(summary.mean).max() < 0.05
         assert np.abs(summary.covariance - np.eye(5)).max() < 0.1
+
+    @pytest.mark.parametrize("points, name", [
+        ([[1e300, 1.0], [-1e300, 2.0], [0.0, 3.0]], "covariance"),
+        ([[1e308, 1.0], [1e308, 2.0]], "mean"),
+    ], ids=["covariance", "mean"])
+    def test_overflow_on_finite_input_is_numeric(self, points, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^the feature {name} overflows float64"):
+                fit_gaussian(FeatureSet(np.array(points)))
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.array([[1.0, 0.2], [0.1, 1.0]])

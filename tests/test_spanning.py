@@ -21,8 +21,9 @@ from ecdkit import (
     mst,
     pairwise_distances,
 )
-from ecdkit.metricspace import _pooled_distances
-from ecdkit.spanning import _no_exclusions, _pair_rank, _prim, _with_excluded
+from ecdkit import spanning
+from ecdkit.metricspace import _BandedDistances, _pooled_distances
+from ecdkit.spanning import _integer_order, _no_exclusions, _pair_rank, _prim, _with_excluded
 
 
 def dmat(points):
@@ -235,6 +236,9 @@ class TestValidation:
 # --- equality gate against the frozen dense-copy construction ---------------
 
 KINDS = ("gaussian", "binary", "ternary", "duplicate", "mixed")
+# integer features beside binary and ternary: sparse occupancy, and counts
+# whose squared distances may pass 2^16, beyond which no key is built
+INTEGER_KINDS = ("occupancy", "counts")
 
 
 def pooled_matrix(kind, n, dim, seed, duplicates=False, signed_zeros=False):
@@ -251,6 +255,10 @@ def pooled_matrix(kind, n, dim, seed, duplicates=False, signed_zeros=False):
     elif kind == "mixed":
         pts = np.concatenate((rng.standard_normal((n // 2, dim)),
                               rng.choice([-1.0, 1.0], size=(n - n // 2, dim))))
+    elif kind == "occupancy":
+        pts = (rng.random((n, dim)) < 0.1).astype(float)
+    elif kind == "counts":
+        pts = rng.integers(0, 150, size=(n, dim)).astype(float)
     else:
         pts = np.zeros((n, dim))
     if duplicates:
@@ -390,7 +398,7 @@ class TestMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(KINDS),
+        kind=st.sampled_from(KINDS + INTEGER_KINDS),
         n=st.integers(4, 40),
         dim=st.integers(1, 5),
         k_share=st.floats(0.0, 1.0),
@@ -542,3 +550,108 @@ def test_kmst_holds_no_matrix_copy():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+# --- the integer order key -----------------------------------------------------
+
+
+@pytest.fixture
+def key_builds(monkeypatch):
+    """One entry per `_integer_order` call `kmst` makes: True where it
+    built the key, False where it declined the matrix."""
+    builds = []
+
+    def counted(values):
+        order = _integer_order(values)
+        builds.append(order is not None)
+        return order
+
+    monkeypatch.setattr(spanning, "_integer_order", counted)
+    return builds
+
+
+def counts_pool(top):
+    """Count features at dim 4 whose largest squared distance is `top`,
+    between the origin and one far point; the rest lie in [1, 5]^4."""
+    far = {2**16 - 1: (255.0, 22.0, 5.0, 1.0), 2**16: (256.0, 0.0, 0.0, 0.0)}[top]
+    rng = np.random.default_rng(top)
+    pts = np.concatenate(([[0.0] * 4, far], rng.integers(1, 6, (48, 4)).astype(float)))
+    return pairwise_distances(FeatureSet(pts[:25]), FeatureSet(pts[25:]))
+
+
+class TestIntegerKey:
+    """`kmst` on integer-valued matrices compares on the uint32 key, and
+    its graph is the reference construction's to the bit."""
+
+    @pytest.mark.parametrize("pool", [
+        ("binary", 120, 20, 1),
+        ("ternary", 120, 20, 2),
+        ("occupancy", 150, 40, 3),
+        ("ternary", 90, 3, 4, True, True),
+        ("duplicate", 30, 3, 5),
+    ], ids=["binary", "ternary", "occupancy", "duplicate-signed-zero", "all-zero"])
+    def test_pools(self, pool, key_builds):
+        d = pooled_matrix(*pool)
+        for k in (1, 10):
+            assert_same_graph(outcome(kmst, d, k), outcome(reference_kmst, d, k))
+        assert key_builds == [True, True]
+
+    def test_hamming_matrix_in_distance_mode(self, key_builds):
+        bits = np.random.default_rng(6).integers(0, 2, (80, 40))
+        hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float)
+        d = DistanceMatrix(hamming)
+        assert_same_graph(outcome(kmst, d, 8), outcome(reference_kmst, d, 8))
+        assert key_builds == [True]
+
+    @pytest.mark.parametrize("top, keyed", [(2**16 - 1, True), (2**16, False)])
+    def test_largest_squared_distance(self, top, keyed, key_builds):
+        d = counts_pool(top)
+        assert round(d.values.max() ** 2) == top
+        assert_same_graph(outcome(kmst, d, 6), outcome(reference_kmst, d, 6))
+        assert key_builds == [keyed]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    def test_not_built_on_non_integer_pools(self, kind, key_builds):
+        kmst(pooled_matrix(kind, 60, 4, seed=7), 3)
+        assert key_builds == [False]
+
+    def test_not_built_on_a_certified_gram_matrix(self, key_builds):
+        rng = np.random.default_rng(8)
+        a, b = (FeatureSet(rng.standard_normal((40, 300))) for _ in range(2))
+        d = _pooled_distances(a, b)
+        assert isinstance(d, _BandedDistances)
+        kmst(d, 3)
+        assert key_builds == []
+
+    def test_built_on_the_exact_matrix_a_refused_gram_matrix_falls_back_to(self, key_builds):
+        # ±1 features tie everywhere, so the banded pass is refused at once
+        rng = np.random.default_rng(9)
+        a, b = (FeatureSet(rng.choice([-1.0, 1.0], size=(40, 300))) for _ in range(2))
+        d = _pooled_distances(a, b)
+        assert isinstance(d, _BandedDistances)
+        g = kmst(d, 3)
+        assert key_builds == [True]
+        assert_same_graph(g, reference_kmst(pairwise_distances(a, b), 3))
+
+    def test_key_orders_as_the_distances_then_the_pair_rank(self):
+        d = pooled_matrix("ternary", 50, 6, seed=10)
+        order = _integer_order(d.values)
+        assert order.dtype == np.uint32 and np.array_equal(order, order.T)
+        lo, hi = np.triu_indices(50, 1)
+        by_pair = np.lexsort((_pair_rank(50, lo, hi), d.values[lo, hi]))
+        keys = order[lo, hi][by_pair].astype(np.int64)
+        assert (np.diff(keys) >= 0).all()
+
+
+def test_kmst_keyed_peak_is_below_one_matrix():
+    # the key takes N^2 * 4 bytes beside the N^2 * 8 of the matrix
+    n = 1200
+    d = pooled_matrix("binary", n, 16, seed=1)
+    assert _integer_order(d.values) is not None
+    tracemalloc.start()
+    try:
+        kmst(d, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * n * n * 8
