@@ -1,9 +1,9 @@
 """Micro-benchmarks of the eigensolver, pooled-distance (strips and the
 certified Gram product), k-MST (exact, banded and integer-keyed), tie-rank,
-edge-count, null-moment, COV/MMD and CSV-ingest kernels, of one whole
-`ecd` comparison and one subsampled one, of the two experiment runners at
-one and two workers, and of the CLI: start-up and one whole `ecdkit ecd`
-run, each in a fresh interpreter.
+edge-count, null-moment, COV/MMD and CSV-ingest kernels, of whole `ecd`
+comparisons (Gaussian and occupancy features) and one subsampled one, of
+the two experiment runners at one and two workers, and of the CLI:
+start-up and one whole `ecdkit ecd` run, each in a fresh interpreter.
 
 Run from the repository root with
 
@@ -214,6 +214,23 @@ def test_ecd_4000_dim_32(benchmark):
     b = FeatureSet(np.random.default_rng(1).standard_normal((2000, 32)) * np.sqrt(1.1))
     report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
     assert report.counts.total == 10 * 3999
+
+
+def test_ecd_occupancy_2000_dim_4096(benchmark):
+    # occupancy features (Bernoulli 0.1), as a voxel grid gives: integer
+    # features above the Gram threshold, whose Gram product is exact
+    pts = (np.random.default_rng(0).random((2000, 4096)) < 0.1).astype(np.float64)
+    a, b = FeatureSet(pts[:1000]), FeatureSet(pts[1000:])
+    report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
+    assert report.counts.total == 10 * 1999
+    # one more run, untimed, for the peak beside the two sets
+    tracemalloc.start()
+    try:
+        ecd(a, b, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 1)
 
 
 def test_ecd_subsampled_2000_vs_1000_dim_100(benchmark):

@@ -136,10 +136,10 @@ def _parse_dims(text: str):
 
 
 _WORKERS_HELP = (
-    "runner threads, at least 1 (default 1); they overlap sampling and pooled "
-    "distances, while scoring (k-MST, moments, Fréchet) runs one cell at a time, "
-    "so a second thread speeds up variance-sweep but gains little or nothing "
-    "on distribution-grid"
+    "runner threads, at least 1 (default 1); only sampling and, from 256 features, "
+    "the BLAS products of pooled distances overlap (strip distances hold the GIL), "
+    "and scoring (k-MST, moments, Fréchet) runs one cell at a time, so a second "
+    "thread speeds up variance-sweep but gains little or nothing on distribution-grid"
 )
 
 

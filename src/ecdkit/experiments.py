@@ -22,8 +22,7 @@ import numpy as np
 
 from .ecd import _seed, _stream, ecd_from_distances
 from .errors import InputError, InvalidSpec, NonFiniteInput, SchemaError
-from .metricspace import (FeatureSet, PooledLabels, _integer, _pooled_distances, _real, _records,
-                          _Uncertified)
+from .metricspace import FeatureSet, PooledLabels, _integer, _pooled_distances, _real, _records
 from .setmeasures import _measures_from_pooled, fit_gaussian, frechet_gaussian
 from .spanning import DEFAULT_K, _check_k
 
@@ -230,15 +229,10 @@ _SCORING = threading.Lock()
 def _sweep_cell(args) -> list:
     base_seed, dim, var, n, k = args
     cell = (base_seed, "variance-sweep", "gaussian", "gaussian", dim, var, n)
-    # one pooled matrix, whose cross block is bitwise the samples' cross_distances
-    # or, at high dimension, certifies its order; only a Gram-product matrix keeps
-    # the samples, for exact reads, while the cell waits to score
+    # one pooled matrix; only a Gram-product one keeps the samples, for exact
+    # reads, while the cell waits to score
     d = _pooled_distances(*_pair(*cell))
-    try:
-        near = _measures_from_pooled(d, n)
-    except _Uncertified:
-        d = d.exact()
-        near = _measures_from_pooled(d, n)
+    near = _measures_from_pooled(d, n)
     with _SCORING:
         report = ecd_from_distances(d, PooledLabels(n, n), k)
     return _rows(*cell, k, [

@@ -12,8 +12,8 @@ N x N result and one strip's distances.
 
 At `_GRAM_MIN_DIM` features and above, a comparison takes its pooled
 matrix from one BLAS Gram product instead (:func:`_pooled_distances`):
-every entry lies within one proven band of the exact value, and the
-consumers that read it decide an order only where the band proves it.
+exact on integer features, else within one proven band of the exact
+value, and its consumers decide an order only where that band proves it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     AsymmetryError,
     DimensionMismatch,
     EmptySet,
+    InputError,
     InvalidSpec,
     NegativeDistanceError,
     NonFiniteInput,
@@ -67,11 +68,6 @@ _BAND_LIMIT = 2.0 ** -26
 _GRAM_ROWS = 32
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-
-class _Uncertified(Exception):
-    """The band of a Gram-product matrix cannot decide an order that a
-    result depends on; the comparison falls back to exact distances."""
 
 
 @dataclass(frozen=True)
@@ -120,20 +116,21 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def _by_construction(values: np.ndarray) -> DistanceMatrix:
-    """DistanceMatrix over a float64 matrix built to hold the invariants.
+def _by_construction(values: np.ndarray, kind=DistanceMatrix, **extra) -> DistanceMatrix:
+    """A `kind`, with `extra` fields, over a matrix built to hold the invariants.
 
-    Only for matrices the library builds that way: the pooled matrix of
-    :func:`pairwise_distances`, whose every pair is computed once and
-    written to both of its entries, with a zero diagonal and finite
-    entries checked once it is filled; a symmetric gather
+    Only for matrices the library builds that way: the pooled matrices of
+    :func:`pairwise_distances` and `_pooled_distances`, whose every pair
+    is computed once, or from commuting sums, and written to both of its
+    entries, with a zero diagonal and finite entries; a symmetric gather
     ``v[np.ix_(r, r)]`` of a valid matrix; and the repaired matrix of
     :func:`validate_distance_matrix`, ``(a + a.T) / 2`` (IEEE addition
     commutes) with a zeroed diagonal, negatives clipped and finiteness
     checked. ``__post_init__``'s checks could not fail and are skipped.
     """
-    d = object.__new__(DistanceMatrix)
-    object.__setattr__(d, "values", values)
+    d = object.__new__(kind)
+    for name, value in {"values": values, **extra}.items():
+        object.__setattr__(d, name, value)
     return d
 
 
@@ -251,7 +248,9 @@ def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     commutes, so the matrix is exactly symmetric, and its diagonal is
     zero. The strip path serves instead when a squared norm is so large
     that an intermediate could overflow, or when the band (see `_band`)
-    exceeds `_BAND_LIMIT` of the largest entry.
+    exceeds `_BAND_LIMIT` of the largest entry. On integer sets with
+    ``4 max q < 2^53`` every intermediate is an integer below 2^53, exact
+    in any summation order, so a plain `DistanceMatrix` has scipy's bits.
     """
     _check_dims(a, b)
     if a.dim < _GRAM_MIN_DIM:
@@ -282,16 +281,21 @@ def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
         np.fill_diagonal(own, np.inf)
         low = min(low, float(strip.min()))
         np.fill_diagonal(own, 0.0)
+    if 4.0 * top < 2.0 ** 53 and _integral(x) and _integral(y):
+        return _by_construction(values)
     high = float(values.max())
     band = _band(x.shape[1], top, low, high)
     # divided, not multiplied: an infinite limit then keeps every band, an
     # all-zero matrix's too, where inf * 0 would be NaN
     if not band / _BAND_LIMIT <= high:
         return pairwise_distances(a, b)
-    d = object.__new__(_BandedDistances)
-    for name, value in (("values", values), ("band", band), ("sets", (a, b))):
-        object.__setattr__(d, name, value)
-    return d
+    return _by_construction(values, _BandedDistances, band=band, sets=(a, b))
+
+
+def _integral(x: np.ndarray) -> bool:
+    """Whether x is integer-valued, by row 0 and then blocks of `_GRAM_ROWS` rows."""
+    cuts = [0, *range(1, len(x), _GRAM_ROWS), len(x)]
+    return all(np.array_equal(np.rint(x[r0:r1]), x[r0:r1]) for r0, r1 in zip(cuts, cuts[1:]))
 
 
 def _band(dim: int, top: float, low: float, high: float) -> float:
@@ -337,15 +341,11 @@ class _BandedDistances(DistanceMatrix):
     every entry lies within `band` of the entry `pairwise_distances` gives
     the same pair. It keeps the two sets for exact look-ups. A consumer
     decides an order on it only where two values differ by more than
-    twice the band, raises `_Uncertified` elsewhere, and reads the values
-    it reports exactly."""
+    twice the band, reads the values it reports exactly, and where the
+    band decides nothing reads exact distances of the two sets."""
 
     band: float
     sets: tuple
-
-    def exact(self) -> DistanceMatrix:
-        """The strip path's matrix of the same two sets."""
-        return pairwise_distances(*self.sets)
 
     def pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The strip path's entry of each pooled pair (lo[e], hi[e]),
@@ -535,10 +535,18 @@ def load_feature_csv(path) -> FeatureSet:
     is data, so one that mixes numbers and other text, or a one-field
     row that is not a number, raises SchemaError naming line 1.
     """
-    return FeatureSet(_read_csv(path, header=True))
+    return _from_file(path, FeatureSet, _read_csv(path, header=True))
 
 
 def load_distance_csv(path, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
     """Read an N x N distance matrix CSV (no header) and validate it."""
     _check_tolerance(tolerance)  # before the file is parsed
-    return validate_distance_matrix(_read_csv(path, header=False), tolerance)
+    return _from_file(path, validate_distance_matrix, _read_csv(path, header=False), tolerance)
+
+
+def _from_file(path, build, *args):
+    """build(*args), whose InputError keeps its class and starts with path."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NumericError, TooFewSamples
-from .metricspace import DistanceMatrix, FeatureSet, _BandedDistances, _Uncertified, cross_distances
+from .metricspace import DistanceMatrix, FeatureSet, _BandedDistances, cross_distances
 from .numerics import _as_symmetric, _psd_sqrt_trace, _real_array, psd_sqrt
 
 
@@ -128,24 +128,22 @@ def _measures_from_pooled(d: DistanceMatrix, n: int) -> MeasureResult:
 
     On a Gram-product matrix (`metricspace._BandedDistances`) each row's
     and each column's argmin must beat its runner-up by more than twice
-    the band, else `_Uncertified`; the m matching distances are then read
-    exactly, so both values are the exact block's, to the bit.
+    the band, else both values come from the sets' `cross_distances`; the
+    m matching distances are read exactly, so both are the exact block's.
     """
     cross = d.values[:n, n:]
     if not isinstance(d, _BandedDistances):
         return measures_from_cross(cross)
-    nearest_b = _certified_argmin(cross, 1, d.band)
-    nearest_a = _certified_argmin(cross, 0, d.band)
+    if not (_certified_argmin(cross, 1, d.band) and _certified_argmin(cross, 0, d.band)):
+        return measures_from_cross(cross_distances(*d.sets))
     m = cross.shape[1]
-    matched = d.pairs(nearest_a, np.arange(n, n + m))
-    coverage = float(np.unique(nearest_b).size) / m
+    matched = d.pairs(np.argmin(cross, axis=0), np.arange(n, n + m))
+    coverage = float(np.unique(np.argmin(cross, axis=1)).size) / m
     return MeasureResult(coverage=coverage, mmd=float(np.mean(matched)), frechet=None)
 
 
-def _certified_argmin(block: np.ndarray, axis: int, band: float) -> np.ndarray:
-    """argmin of block along axis where no other entry lies within twice
-    `band` of each minimum, else `_Uncertified`."""
+def _certified_argmin(block: np.ndarray, axis: int, band: float) -> bool:
+    """Whether the argmin of block along axis is certain: no other entry
+    lies within twice `band` of any minimum."""
     lowest = block.min(axis=axis, keepdims=True)
-    if np.any(np.count_nonzero(block <= lowest + 2.0 * band, axis=axis) > 1):
-        raise _Uncertified("a nearest neighbour is within the band of its runner-up")
-    return np.argmin(block, axis=axis)
+    return not np.any(np.count_nonzero(block <= lowest + 2.0 * band, axis=axis) > 1)

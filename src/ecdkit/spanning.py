@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import metricspace
 from .errors import DisconnectedError, InvalidK, SizeMismatch
-from .metricspace import DistanceMatrix, _BandedDistances, _Uncertified
+from .metricspace import DistanceMatrix, _BandedDistances
 
 #: Tree multiplicity used throughout unless a caller overrides it.
 DEFAULT_K = 10
@@ -35,6 +36,10 @@ _MIX_INC, _MIX_A, _MIX_B, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
     np.array(c, dtype=np.uint64)
     for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31)
 )
+
+
+class _Uncertified(Exception):
+    """A band cannot order two values; `kmst` then uses the strip matrix."""
 
 
 def _pair_rank(n_nodes: int, lo, hi) -> np.ndarray:
@@ -304,11 +309,11 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     Feasibility on a complete graph requires k <= floor(N/2); beyond that
     some layer runs out of edges and DisconnectedError reports its index.
 
-    On a Gram-product matrix of `metricspace._pooled_distances` every
-    layer is built within its band. If all of them are certified, each
-    tree edge's weight is read exactly, so the graph is the one the exact
-    matrix gives; if any pick or key update is not, the k-MST is built
-    again on the exact matrix.
+    On a banded matrix of `metricspace._pooled_distances` every layer is
+    built within its band. If all of them are certified, each tree edge's
+    weight is read exactly, so the graph is the one the exact matrix
+    gives; if any pick or key update is not, this, the one place that
+    catches `_Uncertified`, builds the k-MST again on the strip matrix.
     """
     k = _check_k(k)
     if not isinstance(d, _BandedDistances):
@@ -316,7 +321,7 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     try:
         g = _layers(d, k, d.band)
     except _Uncertified:
-        return _layers(d.exact(), k, 0.0)
+        return _layers(metricspace.pairwise_distances(*d.sets), k, 0.0)
     return replace(g, weight=d.pairs(g.ei, g.ej))
 
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from ecdkit import DistanceMatrix, FeatureSet, kmst, pairwise_distances
+from ecdkit import (DistanceMatrix, FeatureSet, NonFiniteInput, NonSquareError, kmst,
+                    load_distance_csv, load_feature_csv, pairwise_distances)
 from ecdkit.cli import main
 from ecdkit.ecd import subsample_round_indices
 
@@ -133,6 +135,16 @@ class TestEcdErrors:
         assert main(["ecd", "--distances", str(bad), "--split", "1"]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "offset 6" in err
+
+    def test_non_square_distance_file_is_named(self, tmp_path, capsys):
+        # the parse succeeds; the matrix check that fails names the file
+        d = write_distance_matrix(tmp_path / "d.csv", np.arange(12.0).reshape(4, 3))
+        with pytest.raises(NonSquareError, match=f"^{re.escape(d)}: distance entries must form a square"):
+            load_distance_csv(d)
+        assert main(["ecd", "--distances", d, "--split", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {d}: distance entries must form a square matrix, got shape (4, 3)\n"
+        )
 
     def test_split_leaving_one_point(self, tmp_path, capsys):
         pts = np.array([0.0, 1.0, 10.0, 11.0])
@@ -280,6 +292,17 @@ class TestMeasuresCommand:
         # cross block of the pooled matrix: both a-points sit nearest b=10
         assert payload["coverage"] == pytest.approx(1 / 3)
         assert payload["mmd"] == pytest.approx((9.0 + 10.0 + 11.0) / 3)
+
+    def test_non_finite_feature_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,inf\n")
+        b = write_points(tmp_path / "b.csv", [[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(NonFiniteInput, match=f"^{re.escape(str(bad))}: feature values must be finite"):
+            load_feature_csv(bad)
+        assert main(["measures", "--set-a", str(bad), "--set-b", b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: feature values must be finite (no NaN/Inf)\n"
 
     def test_typo_in_first_row_is_not_a_header(self, tmp_path, capsys):
         typo = tmp_path / "typo.csv"

@@ -147,4 +147,4 @@ class TestErrorHandler:
     def test_input_error_is_exit_2(self, tmp_path, capsys):
         d = write_rows(tmp_path / "d.csv", [[0.0, 1.0], [2.0, 0.0]])
         assert main(["measures", "--distances", d, "--split", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: max |d[i,j] - d[j,i]|")
+        assert capsys.readouterr().err.startswith(f"error: {d}: max |d[i,j] - d[j,i]|")

@@ -11,6 +11,7 @@ small pools take the Gram path.
 import importlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,12 +83,30 @@ def pool(kind, seed=0):
         pts[N_EACH + 1, 0] = np.nextafter(pts[N_EACH + 1, 0], np.inf)
     elif kind == "fortran-order":
         pts = np.asfortranarray(pts)
+    elif kind == "integer-and-gaussian":
+        pts[:N_EACH] = rng.integers(-50, 51, (N_EACH, DIM))
+    elif kind in ("integral-first-row", "integral-but-last-row"):
+        # counts, with the Gaussian draw added to the first set's other
+        # rows, or to its last one
+        noisy = np.s_[1:N_EACH] if kind == "integral-first-row" else np.s_[N_EACH - 1]
+        counts = rng.integers(-50, 51, pts.shape).astype(np.float64)
+        counts[noisy] += pts[noisy]
+        pts = counts
+    elif kind == "at-the-bound":
+        # integer points at dim 2, well apart; the largest squared norm is
+        # 2^51, so 4 max q is 2^53
+        pts = rng.integers(-2**24, 2**24, (2 * N_EACH, 2)).astype(np.float64)
+        pts[0] = 2.0**25, 2.0**25
     return FeatureSet(pts[:N_EACH]), FeatureSet(pts[N_EACH:])
 
 
-POOLS = ["gaussian", "binary", "duplicates", "offset", "near-tie", "fortran-order"]
-#: the pools whose every order the band proves; each other one falls back once
-CERTIFIED = {"gaussian", "fortran-order"}
+#: pools beside the exact path of integer features, which take the banded one
+NEAR_EXACT = ["integer-and-gaussian", "integral-first-row", "integral-but-last-row",
+              "at-the-bound"]
+POOLS = ["gaussian", "binary", "duplicates", "offset", "near-tie", "fortran-order", *NEAR_EXACT]
+#: the pools that compute no strip matrix: the band proves every order, or
+#: integer features make the Gram product exact; each other one falls back once
+CERTIFIED = {"gaussian", "fortran-order", "binary", *NEAR_EXACT}
 
 
 def graph_bytes(report):
@@ -199,7 +218,71 @@ def test_exact_pairs_are_strip_entries(gram):
     rng = np.random.default_rng(3)
     lo, hi = np.sort(rng.integers(0, 2 * N_EACH, (2, 500)), axis=0)
     assert d.pairs(lo, hi).tobytes() == exact[lo, hi].tobytes()
-    assert d.exact().values.tobytes() == exact.tobytes()
+
+
+def integer_pool(kind, dim, seed=0):
+    """Two sets of N_EACH integer-valued points at dim of one named kind."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * N_EACH, dim)
+    pts = {
+        "binary": lambda: rng.choice([-1, 1], size=shape),
+        "ternary": lambda: rng.integers(0, 3, shape),
+        "occupancy": lambda: rng.random(shape) < 0.1,
+        "signed-count": lambda: rng.integers(-50, 51, shape),
+        "wide": lambda: rng.integers(1 - 2**20, 2**20, shape),
+    }[kind]().astype(np.float64)
+    return FeatureSet(pts[:N_EACH]), FeatureSet(pts[N_EACH:])
+
+
+@pytest.mark.parametrize("dim", [1, DIM, 300])
+@pytest.mark.parametrize("kind", ["binary", "ternary", "occupancy", "signed-count", "wide"])
+def test_integer_features_give_an_exact_matrix(gram, kind, dim):
+    a, b = integer_pool(kind, dim)
+    d = metricspace._pooled_distances(a, b)
+    assert type(d) is metricspace.DistanceMatrix
+    assert d.values.tobytes() == pairwise_distances(a, b).values.tobytes()
+
+
+def test_ecd_on_integer_features_builds_no_strip_matrix(monkeypatch):
+    # at the shipped threshold: ±1 features at dim 300 take the Gram path
+    a, b = integer_pool("binary", 300, seed=1)
+    want = strip_path(ecd, a, b, K)
+    built = []
+    real = metricspace.pairwise_distances
+    monkeypatch.setattr(metricspace, "pairwise_distances", lambda x, y: built.append(1) or real(x, y))
+    got = ecd(a, b, K)
+    assert built == []
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert graph_bytes(got) == graph_bytes(want)
+
+
+def test_one_below_the_bound_is_exact(gram):
+    a, b = pool("at-the-bound")
+    below = a.points.copy()
+    below[0, 1] -= 1.0
+    a = FeatureSet(below)
+    assert 4 * max(int(v) ** 2 + int(w) ** 2 for v, w in below) < 2**53
+    d = metricspace._pooled_distances(a, b)
+    assert type(d) is metricspace.DistanceMatrix
+    assert d.values.tobytes() == pairwise_distances(a, b).values.tobytes()
+
+
+@pytest.mark.parametrize("kind", NEAR_EXACT)
+def test_pools_beside_the_exact_path_are_banded(gram, kind):
+    a, b = pool(kind)
+    assert 4 * max(np.einsum("ij,ij->i", p, p).max() for p in (a.points, b.points)) <= 2**53
+    assert isinstance(metricspace._pooled_distances(a, b), metricspace._BandedDistances)
+
+
+def test_integrality_check_copies_no_set():
+    x = np.random.default_rng(14).integers(-3, 4, (1000, 1000)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        assert metricspace._integral(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 8
 
 
 GAP = 1e-9
@@ -225,7 +308,7 @@ def five_nodes(case):
 def test_prim_refuses_only_within_the_band(case):
     spanning = importlib.import_module("ecdkit.spanning")
     d, index = five_nodes(case), spanning._no_exclusions(5)
-    with pytest.raises(metricspace._Uncertified):
+    with pytest.raises(spanning._Uncertified):
         spanning._prim(d, *index, GAP)  # two values 2 * band apart or closer
     narrow = spanning._prim(d, *index, GAP / 4)
     assert all(np.array_equal(got, want) for got, want in zip(narrow, spanning._prim(d, *index)))
@@ -235,10 +318,8 @@ def test_prim_refuses_only_within_the_band(case):
 def test_argmin_refuses_only_within_the_band(axis):
     setmeasures = importlib.import_module("ecdkit.setmeasures")
     block = np.array([[1.0, 1.0 + GAP, 3.0], [2.0, 5.0, 7.0], [1.0 + GAP, 6.0, 8.0]])
-    with pytest.raises(metricspace._Uncertified):
-        setmeasures._certified_argmin(block, axis, GAP)
-    got = setmeasures._certified_argmin(block, axis, GAP / 4)
-    assert np.array_equal(got, np.argmin(block, axis=axis))
+    assert setmeasures._certified_argmin(block, axis, GAP) is False
+    assert setmeasures._certified_argmin(block, axis, GAP / 4) is True
 
 
 def exact_squared(x, y):

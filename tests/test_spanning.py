@@ -623,12 +623,12 @@ class TestIntegerKey:
         kmst(d, 3)
         assert key_builds == []
 
-    def test_built_on_the_exact_matrix_a_refused_gram_matrix_falls_back_to(self, key_builds):
-        # ±1 features tie everywhere, so the banded pass is refused at once
+    def test_built_once_on_an_exact_gram_matrix(self, key_builds):
+        # ±1 features make the Gram product exact: no band to refuse ties on
         rng = np.random.default_rng(9)
         a, b = (FeatureSet(rng.choice([-1.0, 1.0], size=(40, 300))) for _ in range(2))
         d = _pooled_distances(a, b)
-        assert isinstance(d, _BandedDistances)
+        assert type(d) is DistanceMatrix
         g = kmst(d, 3)
         assert key_builds == [True]
         assert_same_graph(g, reference_kmst(pairwise_distances(a, b), 3))
