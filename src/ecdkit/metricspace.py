@@ -321,9 +321,13 @@ def _band(dim: int, top: float, low: float, high: float) -> float:
        gamma_{d+2}: within (gamma_{d+2} (1 + u) + u) sqrt(S) of sqrt(S),
        and sqrt(S) <= high (1 + 2u) + step 3's bound.
 
-    4u high more covers the rounded sqrt of step 3 and the rounding of
-    each comparison that uses the band; the factor 1 + 2^-20 covers the
-    rounding of this evaluation.
+    4u high more covers the rounded sqrt of step 3 and leaves 3u high per
+    entry for each comparison on the band. `spanning._prim` stores key k
+    as fl(k + w), w = 2 band <= 2^-25 high (`_BAND_LIMIT`); each of its
+    tests r <= fl(k + w), r < fl(fl(k + w) - 2w) and fl(k2' - k1') <= w
+    rounds at most twice, by u (high + 2w) < 2u high each: under 4u high,
+    within the 6u high of its two entries. The factor 1 + 2^-20 covers
+    the rounding of this evaluation.
     """
     u = _UNIT_ROUNDOFF
     gamma_d, gamma_s = dim * u / (1.0 - dim * u), (dim + 2) * u / (1.0 - (dim + 2) * u)

@@ -112,18 +112,19 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
     above inf. Each step makes one argmin over the frontier, with the
     pick already set to NaN: it finds the runner-up, which tells whether
     another node ties with the pick and, unless this step lowers some key
-    below it, is the next pick. The pair rank of each frontier node's
-    edge to its parent is computed when a tie first needs it and kept
-    until the parent changes.
+    below it, is the next pick. Pair ranks are computed where a tie
+    happens, in one call per tied pick and per tied key update.
 
     With a positive `band`, every entry is only known to within `band` of
     the exact one (see `metricspace._BandedDistances`), so two values
-    order for certain only when they differ by more than twice it. A pick
-    whose runner-up lies within that width, or a key update whose two
-    values do, raises `_Uncertified`; ties are included. Otherwise every
-    pick and every parent is the exact construction's, and the weights
-    returned are the entries read here. With band 0 the loop is the
-    exact one.
+    order for certain only when they differ by more than the width, twice
+    the band. `best` then holds each key plus the width (its rounding: see
+    `metricspace._band`), so the one comparison finds every key a row
+    entry may undercut, and an update is certain below ``best - 2 *
+    width``. A pick within the width of its runner-up, or an update that
+    is not certain, raises `_Uncertified`, ties included; otherwise every
+    pick and parent is the exact construction's, and the weights are the
+    entries read here. With band 0 the loop is the exact one.
     """
     width = 2.0 * band
     values = d.values
@@ -132,53 +133,36 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
     ptr = ptr.tolist()  # Python ints slice `nbr` faster than numpy scalars
-    best = keys[0].astype(np.float64)  # a copy, which holds every key exactly
+    best = keys[0] + width  # a float64 copy; with band 0 it holds every key exactly
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
     bits = best.view(np.int64)
     parent = np.zeros(n, dtype=np.int64)
-    # rank[v] is the pair rank of (ranked[v], v); it is current while
-    # ranked[v] == parent[v], so a parent change makes it stale
-    rank = np.zeros(n, dtype=np.uint64)
-    ranked = np.full(n, -1, dtype=np.int64)
-
-    def parent_ranks(nodes):
-        ends = parent[nodes]
-        stale = ranked[nodes] != ends
-        if np.count_nonzero(stale):  # cheaper than .any() on short arrays
-            fresh, ends = nodes[stale], ends[stale]
-            rank[fresh] = _pair_rank(n, np.minimum(ends, fresh), np.maximum(ends, fresh))
-            ranked[fresh] = ends
-        return rank[nodes]
-
     at_most = np.empty(n, dtype=bool)
-    lowered = np.empty(n) if width else None
     added = np.empty(n - 1, dtype=np.int64)
     vertex = int(bits.argmin())
     for step in range(n - 1):
         lowest = best[vertex]
         if lowest == np.inf:
-            raise DisconnectedError("graph is disconnected under the current edge exclusions")
+            raise DisconnectedError(_stranded(n, step + 1, ptr, nbr, np.isnan(best)))
         best[vertex] = np.nan
         runner = bits.argmin()
         second = best[runner]
         # any float tie, -0.0 against +0.0 too, or a gap within the band
-        if second == lowest or width and second - lowest <= width:
+        if second - lowest <= width:
             if width:
                 raise _Uncertified(f"pick {step} is within the band of its runner-up")
             best[vertex] = lowest
             cand = (best == lowest).nonzero()[0]
+            ends = parent[cand]
             # candidates are distinct frontier nodes with tree parents, so
             # their pairs, and hence their ranks, are distinct
-            win = parent_ranks(cand).argmin()
+            win = _pair_rank(n, np.minimum(ends, cand), np.maximum(ends, cand)).argmin()
             vertex, runner = int(cand[win]), cand[win - 1]  # any other candidate
             best[vertex] = np.nan
         added[step] = vertex
         row = keys[vertex]
-        if width:  # a key within the band above its rival may be below it
-            np.less_equal(np.subtract(row, width, out=lowered), best, out=at_most)
-        else:
-            np.less_equal(row, best, out=at_most)
+        np.less_equal(row, best, out=at_most)
         at_most[nbr[ptr[vertex]:ptr[vertex + 1]]] = False
         near = at_most.nonzero()[0]
         if near.size:
@@ -188,23 +172,34 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
             # pick needs that key, not the lowest bits: the tie check finds
             # every other node whose key equals it, -0.0 or +0.0
             low = gain.argmin()
-            if gain[low] < second:
+            if gain[low] < second - width:
                 runner = near[low]
-            closer = gain < (best[near] - width if width else best[near])
+            closer = gain < (best[near] - 2.0 * width if width else best[near])
             if np.count_nonzero(closer) < near.size:
                 if width:
                     raise _Uncertified(f"a key update of step {step} is within the band")
-                # a tied frontier edge replaces the current one if its pair ranks lower
-                ranks = _pair_rank(n, np.minimum(vertex, near), np.maximum(vertex, near))
-                closer |= ranks < parent_ranks(near)
+                # a tied edge replaces the current one if its pair ranks lower
+                tied = near[~closer]
+                ends = np.array(([vertex] * tied.size, parent[tied]))  # new ends, current ends
+                ranks = _pair_rank(n, np.minimum(ends, tied), np.maximum(ends, tied))
+                closer[~closer] = ranks[0] < ranks[1]
                 near, gain = near[closer], gain[closer]
-                rank[near] = ranks[closer]
-                ranked[near] = vertex
-            best[near] = gain  # a tied win writes an equal value
+            best[near] = gain + width if width else gain  # a tied win writes an equal value
             parent[near] = vertex
         vertex = int(runner)
     ends = parent[added]
     return np.minimum(ends, added), np.maximum(ends, added), values[ends, added]
+
+
+def _stranded(n: int, joined: int, ptr: list, nbr: np.ndarray, in_tree: np.ndarray) -> str:
+    """The text of a pass that stops with `joined` of its n nodes in the
+    tree: that count, and up to five other nodes whose every edge is excluded."""
+    cut = [v for v in (~in_tree).nonzero()[0].tolist()
+           if np.union1d(nbr[ptr[v]:ptr[v + 1]], v).size == n]
+    more = f" and {len(cut) - 5} more" if len(cut) > 5 else ""
+    listed = f"; nodes with no edge left: {', '.join(map(str, cut[:5]))}{more}" if cut else ""
+    return (f"graph is disconnected under the current edge exclusions: "
+            f"{joined} of {n} nodes joined the tree{listed}")
 
 
 def _integer_order(values: np.ndarray) -> np.ndarray | None:

@@ -37,7 +37,16 @@ def reference_prim(weights):
         masked = np.where(in_tree, np.inf, best)
         lowest = masked.min()
         if not np.isfinite(lowest):
-            raise DisconnectedError("graph is disconnected under the current edge exclusions")
+            # the frontier nodes whose whole row is inf: every edge excluded
+            stranded = [int(v) for v in np.flatnonzero(~in_tree) if np.isinf(weights[v]).all()]
+            message = (f"graph is disconnected under the current edge exclusions: "
+                       f"{int(in_tree.sum())} of {n} nodes joined the tree")
+            if stranded:
+                listed = ", ".join(str(v) for v in stranded[:5])
+                if len(stranded) > 5:
+                    listed += f" and {len(stranded) - 5} more"
+                message += f"; nodes with no edge left: {listed}"
+            raise DisconnectedError(message)
         cand = np.flatnonzero(masked == lowest)
         if cand.size == 1:
             vertex = int(cand[0])

@@ -314,6 +314,44 @@ def test_prim_refuses_only_within_the_band(case):
     assert all(np.array_equal(got, want) for got, want in zip(narrow, spanning._prim(d, *index)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    mantissa=st.integers(1, 1023),
+    exponent=st.integers(-30, 0),
+    gap=st.sampled_from([1, 2, 3, 5]),
+    steps=st.permutations(range(21)),
+    ties=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=4),
+    negative_zero=st.booleans(),
+)
+def test_banded_prim_is_exact_or_refuses(n, mantissa, exponent, gap, steps, ties,
+                                         negative_zero):
+    # entries are distinct multiples of gap * band, with planted exact
+    # ties; gap 1 or 2 puts some exactly 2 band apart. band is dyadic, so
+    # every entry, raised key and difference is exact: the pass may only
+    # refuse where two entries lie within the width, 2 band, of each other
+    spanning = importlib.import_module("ecdkit.spanning")
+    band = mantissa * 2.0**exponent
+    steps = list(steps)
+    for source, target in ties:
+        steps[target] = steps[source]
+    upper = np.array(steps[:n * (n - 1) // 2]) * (gap * band)
+    if negative_zero:
+        upper[upper == 0.0] = -0.0
+    values, (i, j) = np.zeros((n, n)), np.triu_indices(n, 1)
+    values[i, j] = values[j, i] = upper
+    d, index = metricspace.DistanceMatrix(values), spanning._no_exclusions(n)
+    exact = spanning._prim(d, *index)
+    gaps = np.abs(np.subtract.outer(upper, upper))[np.triu_indices(upper.size, 1)]
+    try:
+        lo, hi, weight = spanning._prim(d, *index, band)
+    except spanning._Uncertified:
+        assert gaps.min(initial=np.inf) <= 2.0 * band  # never when 4 band apart
+        return
+    assert lo.tobytes() == exact[0].tobytes() and hi.tobytes() == exact[1].tobytes()
+    assert weight.tobytes() == exact[2].tobytes()
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_argmin_refuses_only_within_the_band(axis):
     setmeasures = importlib.import_module("ecdkit.setmeasures")

@@ -235,7 +235,9 @@ class TestValidation:
 
 # --- equality gate against the frozen dense-copy construction ---------------
 
-KINDS = ("gaussian", "binary", "ternary", "duplicate", "mixed")
+# quantised: features on a 0.1 grid, whose equal exact distances may differ
+# in the last bit of their float entries; such a matrix is never keyed
+KINDS = ("gaussian", "binary", "ternary", "duplicate", "mixed", "quantised")
 # integer features beside binary and ternary: sparse occupancy, and counts
 # whose squared distances may pass 2^16, beyond which no key is built
 INTEGER_KINDS = ("occupancy", "counts")
@@ -255,6 +257,8 @@ def pooled_matrix(kind, n, dim, seed, duplicates=False, signed_zeros=False):
     elif kind == "mixed":
         pts = np.concatenate((rng.standard_normal((n // 2, dim)),
                               rng.choice([-1.0, 1.0], size=(n - n // 2, dim))))
+    elif kind == "quantised":
+        pts = rng.integers(-20, 21, size=(n, dim)) / 10.0
     elif kind == "occupancy":
         pts = (rng.random((n, dim)) < 0.1).astype(float)
     elif kind == "counts":
@@ -385,8 +389,10 @@ class TestMatchesReference:
         d, k = constructed(case)
         got = outcome(kmst, d, k)
         assert_same_graph(got, outcome(reference_kmst, d, k))
-        if case == "hub":
-            assert got[0] == 2 and got[1].startswith("layer 2 of 2 cannot be completed")
+        if case == "hub":  # the layer, how far it got, and the node it could not reach
+            assert got == (2, "layer 2 of 2 cannot be completed: graph is disconnected under the"
+                              " current edge exclusions: 5 of 6 nodes joined the tree;"
+                              " nodes with no edge left: 5")
 
     def test_mst_with_one_pair_excluded_three_times(self):
         # listed twice as given and once reversed; the path's own edge (2, 3)
@@ -610,7 +616,7 @@ class TestIntegerKey:
         assert_same_graph(outcome(kmst, d, 6), outcome(reference_kmst, d, 6))
         assert key_builds == [keyed]
 
-    @pytest.mark.parametrize("kind", ["gaussian", "mixed"])
+    @pytest.mark.parametrize("kind", ["gaussian", "mixed", "quantised"])
     def test_not_built_on_non_integer_pools(self, kind, key_builds):
         kmst(pooled_matrix(kind, 60, 4, seed=7), 3)
         assert key_builds == [False]
