@@ -264,3 +264,32 @@ def test_wide_variance_sweep_csv(tmp_path, seed):
         )
         check(f"dim-300 variance-sweep CSV, seed {seed}, workers {workers}", data,
               WIDE_SWEEP_CSV[seed])
+
+
+# 3200 pooled points at dim 4, above the size from which a continuous
+# pool's matrix is stored in float32, and the same points on a 0.1 grid,
+# whose many repeated distances keep it in float64. Recorded before the
+# float32 matrix existed, so both pin it to the float64 bytes.
+LARGE_ECD = {
+    "continuous": (
+        "fd39e64035f58e3f7d4874a53e9c8788c12432309821f4c1ec6aee9a10adbf8f",
+        "818c127a14eb27f12f1fc7bbb465cf037d7b6f16a9ecd9b3dd13f0681527f98c",
+    ),
+    "grid-0.1": (
+        "824a12b6b3de14ea6958d80609d8ef089cb8919af173e30e6be55c4fee3ee603",
+        "404699af92d32b2c6d51397f59dc6543cf81a659e6b24d2c92a3b7705ee64f05",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_ECD))
+def test_large_pool_ecd_json_and_graph(tmp_path, kind):
+    a, b = points(108, 1600, 4, np.sqrt(1.2)), points(109, 1600, 4)
+    if kind == "grid-0.1":
+        a, b = np.round(a, 1), np.round(b, 1)
+    paths = write_rows(tmp_path / "a.csv", a), write_rows(tmp_path / "b.csv", b)
+    graph = tmp_path / "graph.csv"
+    data = cli_bytes(["ecd", "--set-a", paths[0], "--set-b", paths[1], "--k", "3",
+                      "--dump-graph", str(graph)], tmp_path / "ecd.json")
+    check(f"{kind} 3200-point ecd JSON", data, LARGE_ECD[kind][0])
+    check(f"{kind} 3200-point ecd --dump-graph CSV", graph.read_bytes(), LARGE_ECD[kind][1])

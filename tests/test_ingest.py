@@ -22,7 +22,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from ecdkit import InputError, load_distance_csv, load_feature_csv
+from ecdkit import (
+    DEFAULT_ROUNDS,
+    AsymmetryError,
+    DistanceMatrix,
+    InputError,
+    NegativeDistanceError,
+    NonSquareError,
+    NonzeroDiagonalError,
+    NumericError,
+    PooledLabels,
+    SizeMismatch,
+    ecd_from_distances,
+    ecd_subsampled_from_distances,
+    load_distance_csv,
+    load_feature_csv,
+    measures_from_cross,
+)
 from ecdkit.cli import main
 from ecdkit.errors import SchemaError
 from ecdkit.experiments import CSV_HEADER, ExperimentTable
@@ -371,3 +387,117 @@ def cli_report(folder, args, counts):
     assert message.startswith("numeric error: " if code == 3 else "error: ")
     assert message.count("\n") == 1 and message.endswith("\n")
     return None
+
+
+# --- the distance-mode input contract as a property -------------------------
+
+TOLERANCE = metricspace.INGEST_TOLERANCE
+#: one perturbation of a clean matrix: its kind, whether its size lies
+#: within the tolerance, and the entry it moves
+_PERTURBATIONS = st.tuples(st.sampled_from(["asymmetry", "diagonal", "sign"]), st.booleans(),
+                           st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+@st.composite
+def distance_files(draw):
+    """A small distance matrix, up to three perturbations of it, now and
+    then a ragged or non-square layout, and a split that may leave a side
+    below 2: (raw rows, layout defect, split)."""
+    n = draw(st.integers(4, 8))
+    entry = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 100.0))
+    upper = np.triu(np.array([[draw(entry) for _ in range(n)] for _ in range(n)]), k=1)
+    raw = upper + upper.T
+    for kind, within, r, c in draw(st.lists(_PERTURBATIONS, max_size=3)):
+        size = TOLERANCE * (0.5 if within else 1e3)
+        i, j = r % n, c % n
+        if kind == "diagonal":
+            raw[i, i] = size * draw(st.sampled_from([-1.0, 1.0]))
+        elif kind == "sign":
+            raw[i, j] = raw[j, i] = -size
+        elif i != j:
+            raw[i, j] += size
+    layout = draw(st.sampled_from([None] * 8 + ["ragged", "extra-row", "extra-column"]))
+    return raw, layout, draw(st.integers(2, n - 2) | st.integers(0, n))
+
+
+def _write_matrix(path, raw, layout):
+    rows = [[repr(float(v)) for v in row] for row in raw]
+    if layout == "ragged":
+        rows[-1].append("1.0") if len(rows) == 1 else rows[-1].pop()
+    elif layout == "extra-row":
+        rows.append(list(rows[0]))
+    elif layout == "extra-column":
+        rows = [row + ["1.0"] for row in rows]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def _expected_load(raw, layout):
+    """(error type, message) the contract gives a matrix file, or (None,
+    repaired matrix): the layout first, then asymmetry, diagonal and
+    sign, each a maximum over the whole raw matrix."""
+    if layout == "ragged":
+        return SchemaError, None
+    if layout is not None:
+        return NonSquareError, None
+    asym = np.max(np.abs(raw - raw.T))
+    if asym > TOLERANCE:
+        return AsymmetryError, f"max |d[i,j] - d[j,i]| = {asym:g} exceeds tolerance {TOLERANCE:g}"
+    diag = np.max(np.abs(np.diagonal(raw)))
+    if diag > TOLERANCE:
+        return NonzeroDiagonalError, f"max |d[i,i]| = {diag:g} exceeds tolerance {TOLERANCE:g}"
+    low = np.min(raw)
+    if low < -TOLERANCE:
+        return NegativeDistanceError, f"min entry {low:g} below -tolerance {-TOLERANCE:g}"
+    repaired = (raw + raw.T) / 2.0
+    np.fill_diagonal(repaired, 0.0)
+    return None, np.clip(repaired, 0.0, None)
+
+
+def _run_cli(folder, args):
+    out, err = folder / "out.json", io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(err):
+        code = main([*args, "--out", str(out)])
+    return code, err.getvalue(), out.read_text() if code == 0 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=distance_files())
+def test_distance_files_keep_the_input_contract(tmp_path_factory, case):
+    raw, layout, split = case
+    path = tmp_path_factory.mktemp("contract-distances") / "d.csv"
+    _write_matrix(path, raw, layout)
+    error, want = _expected_load(raw, layout)
+    try:
+        got = load_distance_csv(path)
+    except InputError as exc:
+        assert type(exc) is error
+        if want is not None:
+            assert str(exc) == f"{path}: {want}"
+    else:
+        assert error is None
+        assert got.values.tobytes() == want.tobytes()
+        d = DistanceMatrix(want)
+    n = raw.shape[0]
+    if error is None and min(split, n - split) < 2:
+        error = SizeMismatch
+    io_args = ["--distances", str(path), "--split", str(split)]
+    for command in ("ecd", "measures"):
+        args = [command, *io_args] + (["--k", "1", "--seed", "0"] if command == "ecd" else [])
+        code, message, text = _run_cli(path.parent, args)
+        if error is not None:
+            assert code == 2 and message.startswith("error: ") and message.count("\n") == 1
+            continue
+        labels = PooledLabels(split, n - split)
+        try:
+            if command == "measures":
+                report = {**measures_from_cross(d.values[:split, split:]).to_json_dict(),
+                          "n": split, "m": n - split}
+            elif split > n - split:
+                report = ecd_subsampled_from_distances(d, labels, 1, DEFAULT_ROUNDS, 0).to_json_dict()
+            else:
+                report = ecd_from_distances(d, labels, 1).to_json_dict() | {"seed": 0}
+        except NumericError:
+            assert code == 3 and message.startswith("numeric error: ")
+            continue
+        assert code == 0 and json.loads(text) == json.loads(json.dumps(report))
