@@ -1,9 +1,10 @@
 """Micro-benchmarks of the eigensolver, pooled-distance (strips and the
 certified Gram product), k-MST (exact, banded and integer-keyed), tie-rank,
 edge-count, null-moment, COV/MMD and CSV-ingest kernels, of whole `ecd`
-comparisons (Gaussian and occupancy features) and one subsampled one, of
-the two experiment runners at one and two workers, and of the CLI:
-start-up and one whole `ecdkit ecd` run, each in a fresh interpreter.
+comparisons (Gaussian, 0.1-grid and occupancy features) and one
+subsampled one, of the two experiment runners at one and two workers, and
+of the CLI: start-up and one whole `ecdkit ecd` run, each in a fresh
+interpreter.
 
 Run from the repository root with
 
@@ -214,6 +215,16 @@ def test_ecd_4000_dim_32(benchmark):
     b = FeatureSet(np.random.default_rng(1).standard_normal((2000, 32)) * np.sqrt(1.1))
     report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
     assert report.counts.total == 10 * 3999
+
+
+def test_ecd_grid_3200_dim_8(benchmark):
+    # Gaussian features on a 0.1 grid, 1600 + 1600 points: above the size
+    # from which continuous pools store float32, but their many repeated
+    # distances keep this one in float64
+    rng = np.random.default_rng(0)
+    a, b = (FeatureSet(np.round(rng.standard_normal((1600, 8)), 1)) for _ in range(2))
+    report = benchmark.pedantic(ecd, (a, b), {"k": 10}, rounds=3)
+    assert report.counts.total == 10 * 3199
 
 
 def test_ecd_occupancy_2000_dim_4096(benchmark):

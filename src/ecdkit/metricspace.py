@@ -8,7 +8,10 @@ is filled in place one strip of rows at a time, each unordered pair
 computed once and written to both of its entries. Strips read the two
 sets where they are and never cross the split between them, so no
 pooled copy of the points is made: a comparison holds its two sets, the
-N x N result and one strip's distances.
+N x N result and one strip's distances. From `_FLOAT32_MIN_POINTS`
+pooled points, a continuous comparison stores that result in float32,
+half the memory, and its consumers settle equal entries on exact
+distances of the two sets.
 
 At `_GRAM_MIN_DIM` features and above, a comparison takes its pooled
 matrix from one BLAS Gram product instead (:func:`_pooled_distances`):
@@ -57,6 +60,20 @@ _STRIP_ROWS = 128
 #: dim 1000.
 _GRAM_MIN_DIM = 256
 
+#: Pooled points from which a continuous comparison below `_GRAM_MIN_DIM`
+#: features stores its matrix in float32 (see `_float32_probe`): the
+#: measured crossover. `ecd` (k = 10) time, float32 over float64, 2-vCPU
+#: VM: 1.11 at N = 1000 (dim 100), 1.00 at 2000 (dim 100), 1.06 at 2000
+#: (dim 32), 0.93 at 3000 (dim 32), 0.90 at 4000 (dim 32).
+_FLOAT32_MIN_POINTS = 3000
+
+#: A probe row whose float32 roundings repeat in more than one entry in
+#: this many keeps the pool in float64. Probe rows of 3200-4000 entries
+#: repeated 0-3 times on Gaussian and uniform pools and 10-11 times on a
+#: 0.01 grid, where float32 still ran faster; on 0.1-grid pools at least
+#: one probe row repeated 238-2361 times.
+_FLOAT32_REPEATS = 64
+
 #: A band wider than this share of the largest distance is not used: it
 #: is what duplicates (a band of sqrt(E), see `_band`) or data far from the
 #: origin give, and with half the digits in doubt nearly every order a
@@ -68,6 +85,10 @@ _BAND_LIMIT = 2.0 ** -26
 _GRAM_ROWS = 32
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Rows per block while an ingested matrix is repaired in place; two
+#: blocks' worth of temporaries sit beside it.
+_REPAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -181,30 +202,44 @@ class PooledLabels:
 def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     """Dense Euclidean distance matrix over the pooled rows ``[a; b]``.
 
-    The matrix is filled in place, one strip of at most ``_STRIP_ROWS``
-    rows at a time, walking the rows of `a` and then the rows of `b`, so
-    no strip crosses the split and both sets are read in place, with no
-    pooled copy. A strip gets its diagonal block from ``pdist`` mirrored
-    by ``squareform``, then its distances to every later row from
-    ``cdist``: for a strip of `a`, one call against the rest of `a` and
-    one against all of `b`; for a strip of `b`, one against the rest of
-    `b`. Each such block passes through one buffer, reused for the whole
-    fill, and is written once as rows and once, transposed, as columns.
-    Each unordered pair is computed once, so the two halves are bitwise
+    The matrix is filled in place by `_strips`, so no strip crosses the
+    split and both sets are read in place, with no pooled copy. Each
+    unordered pair is computed once, so the two halves are bitwise
     identical, the diagonal is zero and no entry is negative; only
     finiteness is checked, once the matrix is filled, since finite
     features far apart overflow to inf. Each entry is bitwise what
     ``pdist`` over the whole pool gives, and does not depend on any
     parallel execution schedule.
     """
+    _check_dims(a, b)
+    # once per set, a no-op for the usual input: scipy would copy each strip
+    values = _strips(np.ascontiguousarray(a.points), np.ascontiguousarray(b.points), np.float64)
+    # entries are nonnegative and max propagates NaN: one pass, no mask;
+    # one call, as each numpy or scipy call that lets the GIL go may wait
+    # for it beside a runner thread running Python
+    if not np.isfinite(values.max()):
+        raise NonFiniteInput("distances must be finite")
+    return _by_construction(values)
+
+
+def _strips(x: np.ndarray, y: np.ndarray, dtype) -> np.ndarray:
+    """The pooled distance matrix of contiguous sets x and y, stored as
+    `dtype`: each float64 distance, rounded to it when it is narrower.
+
+    The matrix is filled one strip of at most ``_STRIP_ROWS`` rows at a
+    time, walking the rows of x and then the rows of y. A strip gets its
+    diagonal block from ``pdist`` mirrored by ``squareform``, then its
+    distances to every later row from ``cdist``: for a strip of x, one
+    call against the rest of x and one against all of y; for a strip of
+    y, one against the rest of y. Each such block passes through one
+    float64 buffer, reused for the whole fill, and is written once as
+    rows and once, transposed, as columns.
+    """
     # scipy loads on the first distance call: importing ecdkit needs numpy alone
     from scipy.spatial.distance import cdist, pdist, squareform
 
-    _check_dims(a, b)
-    # once per set, a no-op for the usual input: scipy would copy each strip
-    x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
     n, total = len(x), len(x) + len(y)
-    values = np.empty((total, total))
+    values = np.empty((total, total), dtype=dtype)
     buf = np.empty(total * _STRIP_ROWS)  # room for any strip's block, reused block to block
     for pts, start, others in ((x, 0, (y,)), (y, n, ())):
         for s0 in range(0, len(pts), _STRIP_ROWS):
@@ -212,7 +247,7 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
             rows = pts[s0:s1]
             i0, i1 = start + s0, start + s1
             values[i0:i1, i0:i1] = squareform(pdist(rows))
-            # the later rows lie in order: the rest of this set, then b after a strip of a
+            # the later rows lie in order: the rest of this set, then y after a strip of x
             j0 = i1
             for later in (pts[s1:], *others):
                 j1 = j0 + len(later)
@@ -222,12 +257,7 @@ def pairwise_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
                     values[i0:i1, j0:j1] = block
                     values[j0:j1, i0:i1] = block.T
                 j0 = j1
-    # entries are nonnegative and max propagates NaN: one pass, no mask;
-    # one call, as each numpy or scipy call that lets the GIL go may wait
-    # for it beside a runner thread running Python
-    if not np.isfinite(values.max()):
-        raise NonFiniteInput("distances must be finite")
-    return _by_construction(values)
+    return values
 
 
 def _check_dims(a: FeatureSet, b: FeatureSet) -> None:
@@ -236,9 +266,12 @@ def _check_dims(a: FeatureSet, b: FeatureSet) -> None:
 
 
 def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
-    """The pooled matrix of one comparison: `pairwise_distances` below
-    `_GRAM_MIN_DIM` features, else a :class:`_BandedDistances` from one
-    Gram product.
+    """The pooled matrix of one comparison: below `_GRAM_MIN_DIM`
+    features, the strip matrix, stored in float32 as a band-0
+    :class:`_BandedDistances` from `_FLOAT32_MIN_POINTS` pooled points
+    when `_float32_probe` passes, else `pairwise_distances`; from
+    `_GRAM_MIN_DIM` features, a :class:`_BandedDistances` from one Gram
+    product.
 
     The products ``a a^T``, ``a b^T`` and ``b b^T`` are written block by
     block into the N x N result and ``b a^T`` is copied as the transpose
@@ -253,12 +286,16 @@ def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     in any summation order, so a plain `DistanceMatrix` has scipy's bits.
     """
     _check_dims(a, b)
-    if a.dim < _GRAM_MIN_DIM:
-        return pairwise_distances(a, b)
-    # once per set, a no-op for the usual input: BLAS then forms a a^T and
-    # b b^T as symmetric products, which a strided set would not get
+    # once per set, a no-op for the usual input: scipy would copy each
+    # strip, and BLAS forms a a^T and b b^T as symmetric products, which a
+    # strided set would not get
     x, y = np.ascontiguousarray(a.points), np.ascontiguousarray(b.points)
     n, total = len(x), len(x) + len(y)
+    if a.dim < _GRAM_MIN_DIM:
+        if total >= _FLOAT32_MIN_POINTS and _float32_probe(x, y):
+            return _by_construction(_strips(x, y, np.float32), _BandedDistances,
+                                    band=0.0, sets=(a, b))
+        return pairwise_distances(a, b)
     values = np.empty((total, total))
     with np.errstate(over="ignore", invalid="ignore"):  # huge norms fall back below
         np.matmul(x, x.T, out=values[:n, :n])
@@ -290,6 +327,29 @@ def _pooled_distances(a: FeatureSet, b: FeatureSet) -> DistanceMatrix:
     if not band / _BAND_LIMIT <= high:
         return pairwise_distances(a, b)
     return _by_construction(values, _BandedDistances, band=band, sets=(a, b))
+
+
+def _float32_probe(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the pool of x and y may store its distances in float32.
+
+    Rows 0 and n of the pooled matrix (the first point of each set) are
+    computed in float64. The pool passes when neither row's float32
+    roundings repeat in more than one entry in `_FLOAT32_REPEATS`, since
+    each repeat is a tie that the k-MST settles on exact distances, and
+    when four times row 0's largest entry is below the float32 maximum:
+    by the triangle inequality every distance then fits, with room for
+    the rounding of its computed value. Integer, quantised and mixed
+    pools repeat far more often, and keep float64. A row 0 that overflows
+    fails too, and the float64 fill reports it.
+    """
+    from scipy.spatial.distance import cdist
+
+    firsts = np.concatenate((x[:1], y[:1]))
+    rows = np.concatenate((cdist(firsts, x), cdist(firsts, y)), axis=1)
+    if not 4.0 * rows[0].max() < np.finfo(np.float32).max:  # NaN fails too
+        return False
+    limit = rows.shape[1] // _FLOAT32_REPEATS
+    return all(row.size - np.unique(row).size <= limit for row in rows.astype(np.float32))
 
 
 def _integral(x: np.ndarray) -> bool:
@@ -341,12 +401,17 @@ def _band(dim: int, top: float, low: float, high: float) -> float:
 
 @dataclass(frozen=True)
 class _BandedDistances(DistanceMatrix):
-    """A pooled matrix from one Gram product, made by `_pooled_distances`:
-    every entry lies within `band` of the entry `pairwise_distances` gives
-    the same pair. It keeps the two sets for exact look-ups. A consumer
-    decides an order on it only where two values differ by more than
-    twice the band, reads the values it reports exactly, and where the
-    band decides nothing reads exact distances of the two sets."""
+    """A pooled matrix made by `_pooled_distances` whose entries stand in
+    for the entries `pairwise_distances` gives the same pairs. It keeps
+    the two sets for exact look-ups. A consumer decides an order on it
+    only where two values differ by more than twice the band, reads the
+    values it reports exactly, and where the band decides nothing reads
+    exact distances of the two sets.
+
+    From one Gram product, every float64 entry lies within `band` of the
+    exact one. With band 0 the entries are the exact ones rounded to
+    float32: rounding is monotone, so two entries that differ order as
+    the exact ones do, and only two equal entries leave the order open."""
 
     band: float
     sets: tuple
@@ -400,30 +465,55 @@ def validate_distance_matrix(raw, tolerance: float = INGEST_TOLERANCE) -> Distan
     and residual negatives clamped to zero. Violations beyond the
     tolerance raise the matching error instead of being repaired. A
     tolerance that float() refuses, is NaN or is negative raises
-    InvalidSpec; ``inf`` accepts any finite matrix.
+    InvalidSpec; ``inf`` accepts any finite matrix. `raw` itself is never
+    written: the repair runs on a copy.
     """
     tolerance = _check_tolerance(tolerance)
-    arr = _real_array(raw, "distance entries", square=True)
-    # one scratch matrix beside the raw one: asymmetry, then the symmetrized sum
-    scratch = arr - arr.T
-    asym = np.max(np.abs(scratch, out=scratch), initial=0.0)
+    return _repaired(_real_array(raw, "distance entries", square=True).copy(), tolerance)
+
+
+def _repaired(arr: np.ndarray, tolerance: float) -> DistanceMatrix:
+    """`validate_distance_matrix` of a checked square float64 array,
+    repaired in place, so that ingest holds one matrix.
+
+    One pass over the pairs of `_REPAIR_BLOCK`-row blocks I <= J reads
+    both blocks A_IJ and A_JI, takes ``|A_IJ - A_JI^T|`` and the raw
+    minimum, and writes ``(A_IJ + A_JI^T) / 2``, clipped at zero, to both;
+    IEEE addition commutes, so the bits are those of ``(raw + raw.T) /
+    2``. The largest asymmetry, the largest diagonal entry and the
+    smallest entry are taken over the whole raw matrix and checked, in
+    that order, once the pass is done; then a repaired entry that
+    overflowed.
+    """
+    n = len(arr)
+    diag = float(np.max(np.abs(np.diagonal(arr)))) if n else 0.0  # before it is zeroed
+    asym, low, top = 0.0, math.inf, 0.0
+    # two finite entries near the float64 maximum can sum or differ to inf
+    with np.errstate(over="ignore"):
+        for i0 in range(0, n, _REPAIR_BLOCK):
+            for j0 in range(i0, n, _REPAIR_BLOCK):
+                upper = arr[i0:i0 + _REPAIR_BLOCK, j0:j0 + _REPAIR_BLOCK]
+                lower = arr[j0:j0 + _REPAIR_BLOCK, i0:i0 + _REPAIR_BLOCK]
+                low = min(low, float(upper.min()), float(lower.min()))
+                gap = upper - lower.T
+                asym = max(asym, float(np.abs(gap, out=gap).max()))
+                sym = np.add(upper, lower.T, out=gap)
+                sym /= 2.0
+                if i0 == j0:
+                    np.fill_diagonal(sym, 0.0)
+                np.clip(sym, 0.0, None, out=sym)
+                top = max(top, float(sym.max()))
+                upper[...] = sym
+                lower[...] = sym.T
     if asym > tolerance:
         raise AsymmetryError(f"max |d[i,j] - d[j,i]| = {asym:g} exceeds tolerance {tolerance:g}")
-    diag = np.max(np.abs(np.diagonal(arr))) if arr.size else 0.0
     if diag > tolerance:
         raise NonzeroDiagonalError(f"max |d[i,i]| = {diag:g} exceeds tolerance {tolerance:g}")
-    low = np.min(arr) if arr.size else 0.0
     if low < -tolerance:
         raise NegativeDistanceError(f"min entry {low:g} below -tolerance {-tolerance:g}")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sym = np.add(arr, arr.T, out=scratch)
-    sym /= 2.0
-    np.fill_diagonal(sym, 0.0)
-    np.clip(sym, 0.0, None, out=sym)
-    # two finite entries near the float64 maximum can sum to inf
-    if not np.isfinite(sym.max(initial=0.0)):
+    if not math.isfinite(top):
         raise NonFiniteInput("distances must be finite")
-    return _by_construction(sym)
+    return _by_construction(arr)
 
 
 # --- file ingestion ---------------------------------------------------------
@@ -543,9 +633,12 @@ def load_feature_csv(path) -> FeatureSet:
 
 
 def load_distance_csv(path, tolerance: float = INGEST_TOLERANCE) -> DistanceMatrix:
-    """Read an N x N distance matrix CSV (no header) and validate it."""
-    _check_tolerance(tolerance)  # before the file is parsed
-    return _from_file(path, validate_distance_matrix, _read_csv(path, header=False), tolerance)
+    """Read an N x N distance matrix CSV (no header) and validate it as
+    `validate_distance_matrix` does, repairing the parsed matrix in place."""
+    tolerance = _check_tolerance(tolerance)  # before the file is parsed
+    raw = _read_csv(path, header=False)
+    return _from_file(path, lambda: _repaired(_real_array(raw, "distance entries", square=True),
+                                              tolerance))
 
 
 def _from_file(path, build, *args):

@@ -125,18 +125,26 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
     is not certain, raises `_Uncertified`, ties included; otherwise every
     pick and parent is the exact construction's, and the weights are the
     entries read here. With band 0 the loop is the exact one.
+
+    A band-0 `_BandedDistances` holds float32 roundings of the exact
+    entries, and `best` is float32 too, ordered as its int32 bits. Two
+    keys that differ order as the exact ones do, so only a stored tie is
+    open: a tied pick or tied key update is settled on the exact
+    distances of its edges (`d.pairs`), and then on pair rank.
     """
     width = 2.0 * band
     values = d.values
     keys = values if order is None else order
+    # the exact distances that settle a stored tie; a positive band refuses it instead
+    exact = d.pairs if isinstance(d, _BandedDistances) else None
     n = values.shape[0]
     if n < 2:
         raise SizeMismatch("need at least 2 nodes for a spanning tree")
     ptr = ptr.tolist()  # Python ints slice `nbr` faster than numpy scalars
-    best = keys[0] + width  # a float64 copy; with band 0 it holds every key exactly
+    best = keys[0] + width  # a copy of the key's dtype; with band 0 it holds every key
     best[nbr[ptr[0]:ptr[1]]] = np.inf
     best[0] = np.nan
-    bits = best.view(np.int64)
+    bits = best.view(f"i{best.itemsize}")
     parent = np.zeros(n, dtype=np.int64)
     at_most = np.empty(n, dtype=bool)
     added = np.empty(n - 1, dtype=np.int64)
@@ -155,9 +163,11 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
             best[vertex] = lowest
             cand = (best == lowest).nonzero()[0]
             ends = parent[cand]
+            lo, hi = np.minimum(ends, cand), np.maximum(ends, cand)
             # candidates are distinct frontier nodes with tree parents, so
             # their pairs, and hence their ranks, are distinct
-            win = _pair_rank(n, np.minimum(ends, cand), np.maximum(ends, cand)).argmin()
+            ranks = _pair_rank(n, lo, hi)
+            win = ranks.argmin() if exact is None else np.lexsort((ranks, exact(lo, hi)))[0]
             vertex, runner = int(cand[win]), cand[win - 1]  # any other candidate
             best[vertex] = np.nan
         added[step] = vertex
@@ -178,11 +188,17 @@ def _prim(d: DistanceMatrix, ptr: np.ndarray, nbr: np.ndarray, band: float = 0.0
             if np.count_nonzero(closer) < near.size:
                 if width:
                     raise _Uncertified(f"a key update of step {step} is within the band")
-                # a tied edge replaces the current one if its pair ranks lower
+                # a tied edge replaces the current one if it is shorter
+                # exactly, or as short and its pair ranks lower
                 tied = near[~closer]
                 ends = np.array(([vertex] * tied.size, parent[tied]))  # new ends, current ends
-                ranks = _pair_rank(n, np.minimum(ends, tied), np.maximum(ends, tied))
-                closer[~closer] = ranks[0] < ranks[1]
+                lo, hi = np.minimum(ends, tied), np.maximum(ends, tied)
+                ranks = _pair_rank(n, lo, hi)
+                wins = ranks[0] < ranks[1]
+                if exact is not None:
+                    w = exact(lo.ravel(), hi.ravel()).reshape(2, -1)
+                    wins = (w[0] < w[1]) | ((w[0] == w[1]) & wins)
+                closer[~closer] = wins
                 near, gain = near[closer], gain[closer]
             best[near] = gain + width if width else gain  # a tied win writes an equal value
             parent[near] = vertex
@@ -309,6 +325,8 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
     weight is read exactly, so the graph is the one the exact matrix
     gives; if any pick or key update is not, this, the one place that
     catches `_Uncertified`, builds the k-MST again on the strip matrix.
+    A band-0 (float32) matrix settles its ties on exact distances and is
+    never refused.
     """
     k = _check_k(k)
     if not isinstance(d, _BandedDistances):
@@ -323,8 +341,8 @@ def kmst(d: DistanceMatrix, k: int = DEFAULT_K) -> SpanningGraph:
 def _layers(d: DistanceMatrix, k: int, band: float) -> SpanningGraph:
     """The k layers of `kmst`, each a `_prim` pass with this band."""
     n = d.n_points
-    # an exact matrix is checked for the integer key; a banded one never is
-    order = None if band else _integer_order(d.values)
+    # an exact matrix is checked for the integer key; a banded one, band 0 too, never is
+    order = None if isinstance(d, _BandedDistances) else _integer_order(d.values)
     index = _no_exclusions(n)  # every earlier layer's edges
     trees = []
     for layer in range(1, k + 1):

@@ -7,7 +7,9 @@ committed. A digest pins the exact bytes of one output: CLI `ecd` JSON
 CSVs at workers 1, 2 and 4 (one digest per seed, every worker count
 writing it), an `ecd` JSON with its `--dump-graph` CSV and a
 `variance_sweep` CSV at dim 300, where the pooled order comes from a
-certified Gram product, `permutation_samples` rows, `frechet_gaussian` as
+certified Gram product, an `ecd` JSON with its `--dump-graph` CSV on
+3200 pooled points, continuous (a float32 pooled matrix) and on a 0.1
+grid (float64), `permutation_samples` rows, `frechet_gaussian` as
 `float.hex`, and the `sample` and `subsample_round_indices` arrays.
 
 A change that moves a digest changes ecdkit's output: list it as an
@@ -35,6 +37,7 @@ from ecdkit import (
 )
 from ecdkit.cli import main
 from ecdkit.ecd import subsample_round_indices
+from ecdkit.metricspace import _pooled_distances
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -287,6 +290,8 @@ def test_large_pool_ecd_json_and_graph(tmp_path, kind):
     a, b = points(108, 1600, 4, np.sqrt(1.2)), points(109, 1600, 4)
     if kind == "grid-0.1":
         a, b = np.round(a, 1), np.round(b, 1)
+    stored = _pooled_distances(FeatureSet(a), FeatureSet(b)).values.dtype
+    assert stored == (np.float32 if kind == "continuous" else np.float64)
     paths = write_rows(tmp_path / "a.csv", a), write_rows(tmp_path / "b.csv", b)
     graph = tmp_path / "graph.csv"
     data = cli_bytes(["ecd", "--set-a", paths[0], "--set-b", paths[1], "--k", "3",

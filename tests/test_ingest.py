@@ -208,7 +208,9 @@ def test_load_distance_csv_holds_no_python_floats(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * d.values.nbytes
+    # the parsed matrix is repaired in place, one pair of 256-row blocks at
+    # a time: measured 1.41 matrices (2.02 with a full scratch matrix)
+    assert peak < 1.5 * d.values.nbytes
 
 
 # --- the input contract as a property over generated CSV bytes --------------

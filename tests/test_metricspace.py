@@ -300,6 +300,25 @@ def test_validate_distance_matrix_repairs_noise():
     assert abs(d.values[0, 1] - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 300, 600])
+def test_validate_distance_matrix_leaves_its_input_alone(n):
+    # the repair runs in place on a copy, block pair by block pair; its
+    # bits are those of the whole-matrix (raw + raw.T) / 2
+    rng = np.random.default_rng(n)
+    raw = rng.random((n, n))
+    raw += raw.T
+    raw[np.triu(rng.random((n, n)) < 0.05)] = 0.0
+    raw = np.minimum(raw, raw.T)
+    np.fill_diagonal(raw, 0.0)
+    raw += 1e-10 * rng.standard_normal((n, n))  # negatives near the zeros too
+    kept = raw.copy()
+    d = validate_distance_matrix(raw)
+    assert raw.tobytes() == kept.tobytes()
+    want = (kept + kept.T) / 2.0
+    np.fill_diagonal(want, 0.0)
+    assert d.values.tobytes() == np.clip(want, 0.0, None).tobytes()
+
+
 def test_validate_distance_matrix_rejects_gross_violations():
     with pytest.raises(AsymmetryError):
         validate_distance_matrix(np.array([[0.0, 1.0], [1.1, 0.0]]))
